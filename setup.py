@@ -21,9 +21,4 @@ setup(
     package_data={"repro.verify": ["golden_digests.json"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.22"],
-    # Optional array backends for the stacked kernels (repro.runtime.backend).
-    # CPU wheels suffice: `pip install repro-functional-mechanism[torch]`
-    # (CI uses the pytorch.org cpu index); CUDA builds are picked up
-    # automatically when present.
-    extras_require={"torch": ["torch>=2.0"]},
 )

@@ -116,11 +116,9 @@ class ObjectivePerturbation(BaselineRegressor):
             #   (1/n)(w^T X^T X w - 2 y^T X w + y^T y) + b^T w / n
             #   + (lam/2) ||w||^2,
             # stationary at (2 X^T X / n + lam I) w = (2 X^T y - b) / n.
-            from ..runtime.backend import active_backend
-
             lhs = 2.0 * X.T @ X / n + lam * np.eye(d)
             rhs = (2.0 * X.T @ y - b) / n
-            omega = active_backend().solve(lhs, rhs)
+            omega = np.linalg.solve(lhs, rhs)
             # Projection onto the Lipschitz ball keeps the guarantee honest.
             norm = float(np.linalg.norm(omega))
             if norm > self.projection_radius:

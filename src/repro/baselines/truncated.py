@@ -78,9 +78,7 @@ class Truncated(BaselineRegressor):
         try:
             self.coef_ = form.minimize()
         except Exception:
-            from ..runtime.backend import active_backend
-
-            self.coef_ = active_backend().pinv(2.0 * form.M) @ (-form.alpha)
+            self.coef_ = np.linalg.pinv(2.0 * form.M) @ (-form.alpha)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -447,10 +447,7 @@ class QuadraticForm:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the symmetric matrix ``M``."""
-        # Deferred import: core must stay importable without runtime.
-        from ..runtime.backend import active_backend
-
-        return active_backend().eigvalsh(self.M)
+        return np.linalg.eigvalsh(self.M)
 
     def is_positive_definite(self, tol: float = 0.0) -> bool:
         """Whether all eigenvalues of ``M`` exceed ``tol``.
@@ -478,9 +475,7 @@ class QuadraticForm:
                 f"(min eigenvalue {smallest:.3e}); the noisy objective has no "
                 f"finite minimizer — apply Section-6 post-processing"
             )
-        from ..runtime.backend import active_backend
-
-        return active_backend().solve(2.0 * self.M, -self.alpha)
+        return np.linalg.solve(2.0 * self.M, -self.alpha)
 
     # ------------------------------------------------------------------
     def __add__(self, other: "QuadraticForm") -> "QuadraticForm":

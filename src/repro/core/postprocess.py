@@ -199,11 +199,9 @@ class SpectralTrimming(PostProcessingStrategy):
         noise_std: float,
         renoise: Optional[Callable[[], QuadraticForm]] = None,
     ) -> PostProcessResult:
-        from ..runtime.backend import active_backend
-
         lam = self.multiplier * float(noise_std)
         regularized = noisy.with_ridge(lam)
-        eigenvalues, eigenvectors = active_backend().eigh(regularized.M)
+        eigenvalues, eigenvectors = np.linalg.eigh(regularized.M)
         tol = max(self.eigen_tol, self.noise_relative_tol * float(noise_std))
         keep = eigenvalues > tol
         trimmed = int(np.count_nonzero(~keep))

@@ -239,7 +239,7 @@ class SchemaMismatchError(WireFormatError):
     """An envelope's schema fingerprint disagrees with the coordinator's.
 
     The fingerprint covers task, dimensionality, block size, stream
-    version, backend, noise mode, and party count — a mismatch means the
+    version, noise mode, and party count — a mismatch means the
     party and coordinator would compute *different* releases, so the
     merge must refuse rather than blend incompatible statistics.
     """

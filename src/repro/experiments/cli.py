@@ -204,15 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
             "executor error; 'fallback' degrades process -> thread -> "
             "serial, resuming from completed tiles",
         )
-        p.add_argument(
-            "--backend", choices=("numpy", "torch"), default=None,
-            help="array backend for the stacked linear algebra (default "
-            "numpy, the bit-identity reference). 'torch' (optional extra; "
-            "CUDA when available) is certified numerically conforming by "
-            "`python -m repro verify --tier numeric`. Noise is always drawn "
-            "by the keyed numpy substreams, so privacy calibration is "
-            "backend-invariant.",
-        )
 
     for name, help_text in [
         ("figure4", "accuracy vs dimensionality"),
@@ -555,7 +546,6 @@ def _run_serve(args) -> int:
             "max_retries": args.max_retries,
             "tile_timeout": args.tile_timeout,
             "failure_mode": args.failure_mode,
-            "backend": args.backend,
         },
         base=ExecutionPolicy(
             scale="smoke", telemetry="summary", failure_mode="fallback"
@@ -634,7 +624,6 @@ def _run_federated(args) -> int:
             "max_retries": args.max_retries,
             "tile_timeout": args.tile_timeout,
             "failure_mode": args.failure_mode,
-            "backend": args.backend,
         },
         base=ExecutionPolicy(scale="smoke", executor="process"),
     )
@@ -649,7 +638,6 @@ def _run_federated(args) -> int:
         if args.block_size is not None
         else DEFAULT_BLOCK_SIZE,
         stream_version=policy.stream_version,
-        backend=policy.backend,
         budget_dir=args.budget_dir,
     )
 
@@ -805,8 +793,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "max_retries": args.max_retries,
                 "tile_timeout": args.tile_timeout,
                 "failure_mode": args.failure_mode,
-                "backend": args.backend,
-            },
+                },
             base=ExecutionPolicy(scale="smoke"),
         )
         spec = figure_spec(args.command)

@@ -61,7 +61,6 @@ class FederationSpec:
     noise_mode: str = "central"
     block_size: int = DEFAULT_BLOCK_SIZE
     stream_version: int = 2
-    backend: str = "numpy"
     tight_sensitivity: bool = False
     budget_dir: Optional[str] = None
     budget_total: Optional[float] = None
@@ -90,7 +89,6 @@ class FederationSpec:
             dim=self.dim,
             block_size=self.block_size,
             stream_version=self.stream_version,
-            backend=self.backend,
             noise_mode=self.noise_mode,
             parties=self.parties,
         )
@@ -186,7 +184,6 @@ def run_party(
             n_rows=accumulator.n_rows,
             block_size=spec.block_size,
             stream_version=spec.stream_version,
-            backend=spec.backend,
             noise_mode=spec.noise_mode,
             seed=spec.seed,
             epsilons=spec.epsilons,

@@ -7,7 +7,7 @@ A party's contribution travels as a single self-describing blob:
 The header carries the wire version, the payload byte count and SHA-256
 (the outer integrity layer), a **schema fingerprint** binding the
 envelope to one exact federation configuration (task, dimensionality,
-block size, stream version, backend, noise mode, party count), and the
+block size, stream version, noise mode, party count), and the
 party's public metadata (id, row count, epsilons, seed).  The payload is
 a standard ``.npz`` archive whose members depend on the noise mode:
 
@@ -68,11 +68,13 @@ __all__ = [
     "decode_envelope",
 ]
 
-#: Wire format version written by this build.
-WIRE_VERSION = 1
+#: Wire format version written by this build.  Version 2 dropped the
+#: ``backend`` header field (and its fingerprint entry); version 1
+#: envelopes are refused.
+WIRE_VERSION = 2
 
 #: Wire format versions this build can decode.
-SUPPORTED_WIRE_VERSIONS = (1,)
+SUPPORTED_WIRE_VERSIONS = (2,)
 
 #: How the FM noise is produced (see :mod:`repro.federated.noise`).
 NOISE_MODES = ("central", "share", "party")
@@ -84,16 +86,14 @@ def schema_fingerprint(
     dim: int,
     block_size: int,
     stream_version: int,
-    backend: str,
     noise_mode: str,
     parties: int,
 ) -> str:
     """SHA-256 over the canonical federation-schema document.
 
     Two endpoints with equal fingerprints compute the same release from
-    the same rows; any field differing — even the backend, which only
-    matters at ulp scale — changes the digest, so mismatched envelopes
-    are refused instead of silently blended.
+    the same rows; any field differing changes the digest, so mismatched
+    envelopes are refused instead of silently blended.
     """
     doc = json.dumps(
         {
@@ -101,7 +101,6 @@ def schema_fingerprint(
             "dim": int(dim),
             "block_size": int(block_size),
             "stream_version": int(stream_version),
-            "backend": str(backend),
             "noise_mode": str(noise_mode),
             "parties": int(parties),
         },
@@ -121,7 +120,6 @@ class PartyEnvelope:
     n_rows: int
     block_size: int
     stream_version: int
-    backend: str
     noise_mode: str
     seed: int
     epsilons: tuple[float, ...]
@@ -182,7 +180,6 @@ def encode_envelope(envelope: PartyEnvelope) -> bytes:
         "n_rows": int(envelope.n_rows),
         "block_size": int(envelope.block_size),
         "stream_version": int(envelope.stream_version),
-        "backend": envelope.backend,
         "noise_mode": envelope.noise_mode,
         "seed": int(envelope.seed),
         "epsilons": [float(e) for e in envelope.epsilons],
@@ -242,7 +239,6 @@ def decode_envelope(
         n_rows = int(header["n_rows"])
         block_size = int(header["block_size"])
         stream_version = int(header["stream_version"])
-        backend = str(header["backend"])
         noise_mode = str(header["noise_mode"])
         seed = int(header["seed"])
         epsilons = tuple(float(e) for e in header["epsilons"])
@@ -264,7 +260,6 @@ def decode_envelope(
         dim=dim,
         block_size=block_size,
         stream_version=stream_version,
-        backend=backend,
         noise_mode=noise_mode,
         parties=parties,
     )
@@ -348,7 +343,6 @@ def decode_envelope(
         n_rows=n_rows,
         block_size=block_size,
         stream_version=stream_version,
-        backend=backend,
         noise_mode=noise_mode,
         seed=seed,
         epsilons=epsilons,

@@ -43,12 +43,8 @@ def _solve_normal_equations(
     penalty, so substituting it for a penalized solve would silently
     change the estimator.
     """
-    from ..runtime.backend import active_backend
-
     try:
-        # Backends translate their failures to LinAlgError, so the
-        # fallback ladder below is engine-independent.
-        weights = active_backend().solve(gram, moment)
+        weights = np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError:
         weights, *_ = np.linalg.lstsq(design, target, rcond=None)
         return weights

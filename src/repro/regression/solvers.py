@@ -214,12 +214,10 @@ class NewtonSolver:
     def _newton_direction(
         self, hess: np.ndarray, grad: np.ndarray, identity: np.ndarray
     ) -> np.ndarray:
-        from ..runtime.backend import active_backend
-
         damping = self.damping
         for _ in range(8):
             try:
-                return active_backend().solve(hess + damping * identity, -grad)
+                return np.linalg.solve(hess + damping * identity, -grad)
             except np.linalg.LinAlgError:
                 damping = max(damping * 100.0, 1e-8)
         return -grad

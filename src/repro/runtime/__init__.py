@@ -10,11 +10,9 @@ into a three-stage pipeline:
    :class:`PreparedDataCache` reusing prepared arrays and moment blocks
    across algorithms, repetitions and budgets,
 2. :mod:`~repro.runtime.kernels` executes all batchable cells as stacked
-   ``(B, d, d)`` LAPACK solves and a masked batched Newton — bitwise
-   identical to the scalar per-cell solves on the default numpy backend,
-   with the stacked linear algebra dispatching through a pluggable
-   :mod:`~repro.runtime.backend` shim (numpy default; torch optional,
-   certified numerically conforming by ``repro.verify --tier numeric``),
+   ``(B, d, d)`` ``np.linalg`` solves and a masked batched Newton —
+   bitwise identical to the scalar per-cell solves — behind the
+   :func:`canonical_array` float64 input gate,
 3. :mod:`~repro.runtime.executor` spreads the residual non-batchable
    baselines — and, for tiled plans, whole batched tiles — over serial /
    thread / forked-process executors.
@@ -25,18 +23,6 @@ reference oracle the equivalence tests assert against);
 cross-algorithm stacked solves.
 """
 
-from .backend import (
-    BACKEND_NAMES,
-    ArrayBackend,
-    NumpyBackend,
-    TorchBackend,
-    active_backend,
-    available_backends,
-    backend_available,
-    canonical_array,
-    get_backend,
-    use_backend,
-)
 from .executor import (
     CellExecutor,
     PooledProcessExecutor,
@@ -50,6 +36,7 @@ from .kernels import (
     NewtonBatchResult,
     SpectralBatchResult,
     SpectralTrimState,
+    canonical_array,
     fm_noise_stack,
     newton_logistic_stack,
     normal_equations_solve_stack,
@@ -74,16 +61,7 @@ from .plan import (
 from .runner import PlanResult, run_plan, run_plan_group
 
 __all__ = [
-    "BACKEND_NAMES",
-    "ArrayBackend",
-    "NumpyBackend",
-    "TorchBackend",
-    "active_backend",
-    "available_backends",
-    "backend_available",
     "canonical_array",
-    "get_backend",
-    "use_backend",
     "CellExecutor",
     "SerialExecutor",
     "ThreadExecutor",

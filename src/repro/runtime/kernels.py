@@ -2,32 +2,20 @@
 
 Every kernel here replaces a loop of scalar d x d linear-algebra calls with
 one stacked ``(B, d, d)`` LAPACK invocation, under a strict contract:
-**bitwise identity with the per-cell reference path** (on the default numpy
-backend).  NumPy's linalg gufuncs (``solve``, ``eigh``, ``eigvalsh``) and
-``matmul`` apply the same LAPACK/BLAS routine to each stacked matrix that
-the scalar call would apply to the matrix alone, so stacking changes
-scheduling — one Python-level call, contiguous batched input — without
-changing a single floating-point operation.  Operations that do NOT honour
-that contract (``einsum`` re-associates reductions; a multi-column GEMM is
-not a loop of GEMVs) are deliberately avoided; scoring matvecs use
-broadcastified ``matmul`` for the same reason.
-
-Backend dispatch (:mod:`repro.runtime.backend`): the stacked ``solve`` /
-``eigh`` / ``eigvalsh`` / ``pinv`` invocations go through the ambient
-:func:`~repro.runtime.backend.active_backend`.  The default numpy backend
-*is* those ``np.linalg`` calls, preserving bit-identity; the torch backend
-runs the same stacks on torch (CUDA when available) and is certified
-numerically conforming — never bit-identical — by ``repro.verify``'s
-``numeric`` tier.  Elementwise arithmetic, masking, and the rare per-cell
-fallback loops stay in numpy: noise is always drawn by the keyed numpy
-substreams and transferred in, so RNG order and privacy calibration are
-backend-invariant by construction.
+**bitwise identity with the per-cell reference path**.  NumPy's linalg
+gufuncs (``solve``, ``eigh``, ``eigvalsh``) and ``matmul`` apply the same
+LAPACK/BLAS routine to each stacked matrix that the scalar call would apply
+to the matrix alone, so stacking changes scheduling — one Python-level call,
+contiguous batched input — without changing a single floating-point
+operation.  Operations that do NOT honour that contract (``einsum``
+re-associates reductions; a multi-column GEMM is not a loop of GEMVs) are
+deliberately avoided; scoring matvecs use broadcastified ``matmul`` for the
+same reason.
 
 Input canonicalization: every public kernel gates its array arguments
-through :func:`~repro.runtime.backend.canonical_array` — C-contiguous
-float64, lower-precision floats upcast, integer/bool/object/complex
-rejected — so both backends see identical canonical inputs and callers can
-no longer smuggle float32 through and silently get float32 answers back.
+through :func:`canonical_array` — C-contiguous float64, lower-precision
+floats upcast, integer/bool/object/complex rejected — so callers cannot
+smuggle float32 through and silently get float32 answers back.
 
 The three kernels:
 
@@ -51,11 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import ExperimentError
 from ..regression.logistic import sigmoid
 from ..regression.solvers import NewtonSolver, SolverResult
-from .backend import active_backend, canonical_array
 
 __all__ = [
+    "canonical_array",
     "fm_noise_stack",
     "spectral_trim_stack",
     "spectral_solve_stack",
@@ -70,6 +59,35 @@ __all__ = [
 
 #: Mirrors repro.core.postprocess._EIGEN_TOL.
 _EIGEN_TOL = 1e-12
+
+
+# ----------------------------------------------------------------------
+# Input canonicalization (the plan-boundary dtype gate)
+# ----------------------------------------------------------------------
+def canonical_array(a, name: str = "array") -> np.ndarray:
+    """``a`` as a C-contiguous float64 ndarray, or a loud refusal.
+
+    * float64 passes through (already-contiguous arrays are returned
+      as-is — the common case costs one flag check);
+    * float16/float32 upcast losslessly to float64 — otherwise a float32
+      caller would get float32 results back, and two callers could get
+      different-precision answers from the same data;
+    * integer, boolean, object, complex and wider-than-64-bit float
+      dtypes raise :class:`~repro.exceptions.ExperimentError` — the gate
+      rejects rather than guesses, because such inputs are almost always
+      a caller bug (labels, IDs, un-decoded columns).
+    """
+    arr = np.asarray(a)
+    if arr.dtype == np.float64:
+        return np.ascontiguousarray(arr)
+    if arr.dtype.kind == "f" and arr.dtype.itemsize < 8:
+        return np.ascontiguousarray(arr, dtype=np.float64)
+    raise ExperimentError(
+        f"{name} has dtype {arr.dtype}; the stacked kernels require real "
+        f"floating-point input (float64, or float16/float32 which upcast "
+        f"losslessly). Convert explicitly — integer/bool/object/complex "
+        f"data is rejected rather than silently reinterpreted."
+    )
 
 
 # ----------------------------------------------------------------------
@@ -99,11 +117,6 @@ def fm_noise_stack(
     Returns the noisy stacks ``(E, d, d)`` and ``(E, d)``.  The constant
     coefficient's draw (``raw[:, 0]``) does not influence the minimizer and
     is skipped (the stream position is still consumed by the caller's draw).
-
-    The noise mapping itself is pure elementwise numpy arithmetic and runs
-    identically under every array backend — ``raw`` is drawn by the keyed
-    numpy substreams and only its *consumption* (the spectral repair and
-    solve downstream) dispatches through the backend shim.
     """
     M = canonical_array(M, "M")
     alpha = canonical_array(alpha, "alpha")
@@ -180,11 +193,10 @@ def spectral_trim_stack(
     M = canonical_array(M, "M")
     alpha = canonical_array(alpha, "alpha")
     noise_std = canonical_array(noise_std, "noise_std")
-    backend = active_backend()
     B, d = alpha.shape
     lam = multiplier * noise_std
     regularized = M + lam[:, None, None] * np.eye(d)
-    eigenvalues, eigenvectors = backend.eigh(regularized)
+    eigenvalues, eigenvectors = np.linalg.eigh(regularized)
     tol = np.maximum(eigen_tol, noise_relative_tol * noise_std)
     keep = eigenvalues > tol[:, None]
     trimmed = np.count_nonzero(~keep, axis=1)
@@ -203,7 +215,7 @@ def spectral_trim_stack(
     if compute_repaired:
         # `repaired` mirrors the per-cell flag: trimming happened, or the
         # ridge was needed to make the raw noisy matrix positive definite.
-        raw_eigenvalues = backend.eigvalsh(M)
+        raw_eigenvalues = np.linalg.eigvalsh(M)
         raw_posdef = raw_eigenvalues.min(axis=1) > eigen_tol
         repaired = ~(full & raw_posdef)
     return SpectralTrimState(
@@ -249,7 +261,7 @@ def spectral_solve_stack(
         compute_repaired=compute_repaired,
     )
     if state.full.any():
-        state.omega[state.full] = active_backend().solve(
+        state.omega[state.full] = np.linalg.solve(
             2.0 * state.regularized[state.full], -alpha[state.full, :, None]
         )[..., 0]
     return SpectralBatchResult(
@@ -267,13 +279,12 @@ def posdef_split_stack(M: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np
     """
     M = canonical_array(M, "M")
     alpha = canonical_array(alpha, "alpha")
-    backend = active_backend()
     B, d = alpha.shape
-    eigenvalues = backend.eigvalsh(M)
+    eigenvalues = np.linalg.eigvalsh(M)
     posdef = eigenvalues.min(axis=1) > 0.0
     omega = np.empty((B, d), dtype=float)
     for i in np.flatnonzero(~posdef):
-        omega[i] = backend.pinv(2.0 * M[i]) @ (-alpha[i])
+        omega[i] = np.linalg.pinv(2.0 * M[i]) @ (-alpha[i])
     return omega, posdef
 
 
@@ -289,7 +300,7 @@ def posdef_or_pinv_solve_stack(M: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     alpha = canonical_array(alpha, "alpha")
     omega, posdef = posdef_split_stack(M, alpha)
     if posdef.any():
-        omega[posdef] = active_backend().solve(
+        omega[posdef] = np.linalg.solve(
             2.0 * M[posdef], -alpha[posdef, :, None]
         )[..., 0]
     return omega
@@ -312,17 +323,16 @@ def normal_equations_solve_stack(
     """
     gram = canonical_array(gram, "gram")
     moment = canonical_array(moment, "moment")
-    backend = active_backend()
     B = moment.shape[0]
     try:
-        weights = backend.solve(gram, moment[..., None])[..., 0]
+        weights = np.linalg.solve(gram, moment[..., None])[..., 0]
         failed = ~np.all(np.isfinite(weights), axis=1)
     except np.linalg.LinAlgError:
         weights = np.empty_like(moment)
         failed = np.zeros(B, dtype=bool)
         for i in range(B):
             try:
-                weights[i] = backend.solve(gram[i], moment[i])
+                weights[i] = np.linalg.solve(gram[i], moment[i])
                 failed[i] = not np.all(np.isfinite(weights[i]))
             except np.linalg.LinAlgError:
                 failed[i] = True
@@ -380,18 +390,17 @@ def _stacked_newton_direction(
     for each cell individually — the non-singular cells' solutions are
     bitwise identical either way.
     """
-    backend = active_backend()
     d = grad.shape[1]
     identity = np.eye(d)
     try:
-        return backend.solve(hess + base_damping * identity, -grad[..., None])[..., 0]
+        return np.linalg.solve(hess + base_damping * identity, -grad[..., None])[..., 0]
     except np.linalg.LinAlgError:
         direction = np.empty_like(grad)
         for i in range(grad.shape[0]):
             damping = base_damping
             for _ in range(8):
                 try:
-                    direction[i] = backend.solve(
+                    direction[i] = np.linalg.solve(
                         hess[i] + damping * identity, -grad[i]
                     )
                     break

@@ -82,7 +82,7 @@ from ..exceptions import ExperimentError
 from ..obs import active_recorder
 from ..privacy.rng import derive_substream
 from ..regression.preprocessing import KFold
-from .backend import canonical_array
+from .kernels import canonical_array
 
 if TYPE_CHECKING:  # pragma: no cover - the config import is lazy at runtime
     # Importing repro.experiments here would close an import cycle
@@ -397,8 +397,8 @@ def _plan_one_rep(
         prepared = working.regression_task(task, dims=dims)
     # The plan boundary's dtype gate: prepared arrays become C-contiguous
     # float64 here (an identity pass for conforming data, so cache sharing
-    # is untouched), guaranteeing every backend sees the same canonical
-    # inputs and float32/strided sources can't leak precision downstream.
+    # is untouched), so float32/strided sources can't leak precision
+    # downstream.
     X = canonical_array(prepared.X, "prepared X")
     y = canonical_array(prepared.y, "prepared y")
     splitter = KFold(n_splits=preset.folds, rng=rep_rng)

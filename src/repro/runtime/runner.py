@@ -61,7 +61,6 @@ from ..regression.linear import _validate_xy as _validate_linear_xy
 from ..regression.logistic import _validate_xy as _validate_logistic_xy
 from ..regression.logistic import sigmoid
 from ..regression.metrics import mean_squared_error, misclassification_rate
-from .backend import active_backend
 from .executor import CellExecutor, SerialExecutor, ThreadExecutor, get_executor
 from .kernels import (
     fm_noise_stack,
@@ -451,27 +450,25 @@ def _solve_request_alone(request: _QuadRequest) -> None:
     """One request's pending solve with its kind's own failure semantics."""
     if request.pending.size == 0:
         return
-    backend = active_backend()
     if request.kind == "ols":
         # Replicates the reference OLS behaviour: try the whole stack, and
         # on a singular cell retry cell by cell (bitwise identical for the
         # non-singular cells either way), lstsq fallback afterwards.
         F = request.pending.size
         try:
-            request.omega[:] = backend.solve(request.A, request.b[..., None])[..., 0]
+            request.omega[:] = np.linalg.solve(request.A, request.b[..., None])[..., 0]
         except np.linalg.LinAlgError:
             for i in range(F):
                 try:
-                    request.omega[i] = backend.solve(request.A[i], request.b[i])
+                    request.omega[i] = np.linalg.solve(request.A[i], request.b[i])
                 except np.linalg.LinAlgError:
                     request.omega[i] = np.nan
         _apply_ols_fallback(request)
         return
     # fm / truncated pending cells are positive definite by construction
     # (eigenvalue-checked), so a LinAlgError here propagates exactly as the
-    # per-plan stacked kernels would propagate it (every backend translates
-    # its singular-system error to np.linalg.LinAlgError).
-    request.omega[request.pending] = backend.solve(
+    # per-plan stacked kernels would propagate it.
+    request.omega[request.pending] = np.linalg.solve(
         request.A, request.b[..., None]
     )[..., 0]
 
@@ -504,7 +501,7 @@ def _solve_requests(requests: Sequence[_QuadRequest]) -> None:
             A = np.concatenate([r.A for r in group])
             b = np.concatenate([r.b for r in group])
             try:
-                solved = active_backend().solve(A, b[..., None])[..., 0]
+                solved = np.linalg.solve(A, b[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 solved = None
         if solved is None:

@@ -49,7 +49,7 @@ from ..experiments.harness import objective_for
 from ..faults import RetryPolicy, use_injector
 from ..obs import use_recorder
 from ..privacy.rng import derive_substream
-from ..runtime import ProcessExecutor, SerialExecutor, ThreadExecutor, use_backend
+from ..runtime import ProcessExecutor, SerialExecutor, ThreadExecutor
 from ..runtime.runner import _mapped
 from ..session import Session
 from .protocol import (
@@ -177,7 +177,6 @@ class ServeApp:
         self._ambience = ExitStack()
         self._ambience.enter_context(use_recorder(self.session.recorder))
         self._ambience.enter_context(use_injector(self.session.injector))
-        self._ambience.enter_context(use_backend(self.session.backend))
         try:
             with self._scope("serve.restore"):
                 self.restored_tenants = self.registry.restore_all()

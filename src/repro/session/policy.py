@@ -37,7 +37,6 @@ Environment variables (all optional)::
     REPRO_MAX_RETRIES     non-negative int (self-healing retry bound)
     REPRO_TILE_TIMEOUT    positive float seconds, or "none" (no timeout)
     REPRO_FAILURE_MODE    raise | fallback
-    REPRO_BACKEND         numpy | torch (array backend of the stacked kernels)
     REPRO_POLICY_FILE     path to a JSON policy file (the file layer)
 
 The ``stream_version`` default flip (ROADMAP) has landed: the
@@ -94,15 +93,11 @@ POLICY_ENV_VARS: dict[str, str] = {
     "max_retries": "REPRO_MAX_RETRIES",
     "tile_timeout": "REPRO_TILE_TIMEOUT",
     "failure_mode": "REPRO_FAILURE_MODE",
-    "backend": "REPRO_BACKEND",
 }
 
 _RUNTIMES = ("batched", "percell", "engine", "auto")
 _EXECUTORS = ("serial", "thread", "process")
 _TELEMETRY = ("off", "summary", "trace")
-#: Mirrors repro.runtime.backend.BACKEND_NAMES (kept literal here so the
-#: policy module stays import-light; the backend module re-validates names).
-_ARRAY_BACKENDS = ("numpy", "torch")
 
 
 def _parse_optional_int(field: str, raw: str) -> int | None:
@@ -207,13 +202,6 @@ class ExecutionPolicy:
         :class:`~repro.exceptions.ExecutorBrokenError`; ``"fallback"``
         lets the runner degrade process → thread → serial, resuming from
         the completed prefix.
-    backend:
-        Array backend of the stacked kernels (see
-        :mod:`repro.runtime.backend`): ``"numpy"`` (the bit-identity
-        reference, default) or ``"torch"`` (optional extra; CUDA when
-        available, certified numerically conforming — never bit-identical
-        — by ``python -m repro verify --tier numeric``).  Noise is always
-        drawn by the keyed numpy substreams regardless of backend.
     """
 
     runtime: str = "batched"
@@ -230,7 +218,6 @@ class ExecutionPolicy:
     max_retries: int = 2
     tile_timeout: float | None = None
     failure_mode: str = "raise"
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.runtime not in _RUNTIMES:
@@ -299,10 +286,6 @@ class ExecutionPolicy:
             raise ExperimentError(
                 f"failure_mode must be one of {FAILURE_MODES}, got "
                 f"{self.failure_mode!r}"
-            )
-        if self.backend not in _ARRAY_BACKENDS:
-            raise ExperimentError(
-                f"backend must be one of {_ARRAY_BACKENDS}, got {self.backend!r}"
             )
 
     # ------------------------------------------------------------------

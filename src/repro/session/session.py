@@ -65,8 +65,6 @@ from ..runtime import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    get_backend,
-    use_backend,
 )
 from .policy import ExecutionPolicy
 from .registry import run_figure
@@ -115,9 +113,6 @@ class Session:
         self._datasets: dict[tuple[str, int | None], CensusDataset] = {}
         self._recorder = make_recorder(self.policy.telemetry)
         self._injector = make_injector(self.policy.faults)
-        # Resolved eagerly so a missing optional backend (torch) fails at
-        # construction, not mid-sweep.
-        self._backend = get_backend(self.policy.backend)
         # Resources registered via adopt(), torn down LIFO by close().
         self._adopted: list = []
 
@@ -162,11 +157,6 @@ class Session:
     def injector(self):
         """The session's fault injector (the shared no-op when unconfigured)."""
         return self._injector
-
-    @property
-    def backend(self):
-        """The session's resolved array backend (``policy.backend``)."""
-        return self._backend
 
     def executor(self) -> CellExecutor:
         """The session's executor (created lazily, reused across calls)."""
@@ -339,9 +329,7 @@ class Session:
         execution comes from the policy (and the session's cache/pool),
         protocol arguments stay per-call with policy-backed defaults.
         """
-        with use_recorder(self._recorder), use_injector(self._injector), use_backend(
-            self._backend
-        ), self._recorder.span(
+        with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.evaluate", algorithm=algorithm, task=task
         ):
             return _evaluate_algorithm_impl(
@@ -373,9 +361,7 @@ class Session:
         executor: str | CellExecutor | None = None,
     ) -> dict[str, EvaluationResult]:
         """Evaluate an algorithm panel as one grouped run (keyed by name)."""
-        with use_recorder(self._recorder), use_injector(self._injector), use_backend(
-            self._backend
-        ), self._recorder.span(
+        with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.evaluate_panel", algorithms=list(algorithms), task=task
         ):
             return _evaluate_algorithms_impl(
@@ -414,9 +400,7 @@ class Session:
         ``policy.shards > 1`` requires an engine-capable runtime, exactly
         as the legacy signature did.
         """
-        with use_recorder(self._recorder), use_injector(self._injector), use_backend(
-            self._backend
-        ), self._recorder.span(
+        with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.budget_sweep", task=task, points=len(epsilons)
         ):
             return _evaluate_fm_budget_sweep_impl(
@@ -456,9 +440,7 @@ class Session:
         """
         self._warn_inapplicable("Session.sweep", shards_apply=False)
         preset, _, seed = self._resolved(preset, None, seed)
-        with use_recorder(self._recorder), use_injector(self._injector), use_backend(
-            self._backend
-        ), self._recorder.span(
+        with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.sweep", parameter=parameter, figure=figure
         ):
             return _accuracy_sweep_impl(
@@ -504,9 +486,7 @@ class Session:
             f"Session.figure({name!r})", shards_apply=spec.budget_sweep
         )
         preset, _, seed = self._resolved(preset, None, seed)
-        with use_recorder(self._recorder), use_injector(self._injector), use_backend(
-            self._backend
-        ), self._recorder.span(
+        with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.figure", figure=name
         ):
             return run_figure(

@@ -22,15 +22,10 @@ package promotes both from scattered ad-hoc assertions to a subsystem:
     The golden-oracle registry: digest-checked snapshot fixtures pinning
     figure-pipeline outputs across the full ``{runtime, executor,
     tile_size, stream_version}`` matrix.
-:mod:`repro.verify.numeric`
-    The "numerically conforming" tier for non-default array backends:
-    identical protocol digests plus certified per-coordinate atol/ULP
-    bounds on released coefficients, with a teeth battery separating
-    reassociation drift from calibration bugs.
 :mod:`repro.verify.cli`
-    The ``python -m repro verify --tier {1,2,3,numeric}`` entry point and
-    the tiered suite contract (tier 1: fast gate; tier 2: statistical
-    audits; tier 3: golden matrix; numeric: backend conformance).
+    The ``python -m repro verify --tier {1,2,3}`` entry point and the
+    tiered suite contract (tier 1: fast gate; tier 2: statistical audits;
+    tier 3: golden matrix).
 """
 
 from .bounds import (
@@ -66,20 +61,6 @@ from .golden import (
     verify_matrix,
 )
 from .neighbors import NeighborPair, neighbor_pairs, worst_case_pair
-from .numeric import (
-    DEFAULT_TOLERANCE,
-    NumericCheck,
-    NumericReport,
-    NumericTolerance,
-    ReleaseOutcome,
-    compare_releases,
-    compare_sweeps,
-    fm_release_stack,
-    structure_digest,
-    ulp_distance,
-    ulp_perturb,
-    verify_numeric,
-)
 
 __all__ = [
     "BinomialBounds",
@@ -112,16 +93,4 @@ __all__ = [
     "NeighborPair",
     "neighbor_pairs",
     "worst_case_pair",
-    "DEFAULT_TOLERANCE",
-    "NumericCheck",
-    "NumericReport",
-    "NumericTolerance",
-    "ReleaseOutcome",
-    "compare_releases",
-    "compare_sweeps",
-    "fm_release_stack",
-    "structure_digest",
-    "ulp_distance",
-    "ulp_perturb",
-    "verify_numeric",
 ]

@@ -1,6 +1,6 @@
 """``python -m repro verify`` — the tiered verification entry point.
 
-Four tiers, by cost and depth:
+Three tiers, by cost and depth:
 
 ``--tier 1`` (seconds — the fast conformance gate)
     Adversarial sensitivity certificates for both objectives, neighbor-
@@ -16,13 +16,6 @@ Four tiers, by cost and depth:
     tile_size, stream_version}`` matrix: within-group bitwise equivalence
     always gates; committed-digest pins gate when the environment
     fingerprint matches (``--regen-golden`` re-pins).
-``--tier numeric`` (seconds to a minute — backend conformance)
-    Certifies a non-default array backend (``--backend``, default torch)
-    as *numerically conforming*: identical protocol digests (plan
-    structure, substream keys, spend sequence) plus per-coordinate
-    atol/ULP bounds on released coefficients, with a teeth battery
-    proving the tolerance separates reassociation drift from
-    miscalibration.  A missing candidate backend is skipped, not failed.
 
 Exit code 0 iff every executed check passed.
 """
@@ -39,12 +32,6 @@ from .certify import certify_sensitivity
 from .conformance import audit_all, audit_release, faulty_fm_release
 from .golden import GOLDEN_CONFIGS, GOLDEN_GROUPS, load_store, verify_matrix
 from .neighbors import neighbor_pairs, worst_case_pair
-from .numeric import (
-    _SWEEP_GROUP as _NUMERIC_SWEEP_GROUP,
-    DEFAULT_TOLERANCE,
-    NumericTolerance,
-    verify_numeric,
-)
 
 __all__ = ["add_verify_arguments", "run_verify"]
 
@@ -54,31 +41,9 @@ _HEX_DIGITS = set("0123456789abcdef")
 def add_verify_arguments(parser) -> None:
     """Attach the ``verify`` subcommand's options to its subparser."""
     parser.add_argument(
-        "--tier", choices=("1", "2", "3", "numeric"), default="1",
+        "--tier", choices=("1", "2", "3"), default="1",
         help="1: fast conformance gate; 2: statistical privacy audits; "
-        "3: golden-oracle execution matrix; numeric: certified-tolerance "
-        "conformance of a non-default array backend against the numpy "
-        "bit-identity reference",
-    )
-    parser.add_argument(
-        "--backend", default="torch",
-        help="candidate array backend the numeric tier certifies "
-        "(default torch; reported as skipped when not importable)",
-    )
-    parser.add_argument(
-        "--atol", type=float, default=None,
-        help="numeric tier: absolute per-coordinate tolerance "
-        "(default 1e-9; a coordinate passes on atol OR ulp)",
-    )
-    parser.add_argument(
-        "--max-ulps", type=int, default=None,
-        help="numeric tier: per-coordinate ULP-distance tolerance "
-        "(default 256)",
-    )
-    parser.add_argument(
-        "--no-sweep", action="store_true",
-        help="numeric tier: skip the golden-subset sweep comparison "
-        "(release battery only; seconds instead of a minute)",
+        "3: golden-oracle execution matrix",
     )
     parser.add_argument("--epsilon", type=float, default=1.0,
                         help="nominal budget audited per mechanism (tier 2)")
@@ -328,48 +293,12 @@ def _run_tier3(args) -> int:
     return 0 if report.passed else 1
 
 
-# ----------------------------------------------------------------------
-# Numeric tier
-# ----------------------------------------------------------------------
-def _run_tier_numeric(args) -> int:
-    tolerance = DEFAULT_TOLERANCE
-    if args.atol is not None or args.max_ulps is not None:
-        tolerance = NumericTolerance(
-            atol=args.atol if args.atol is not None else DEFAULT_TOLERANCE.atol,
-            max_ulps=(
-                args.max_ulps if args.max_ulps is not None
-                else DEFAULT_TOLERANCE.max_ulps
-            ),
-        )
-    print(
-        f"tier numeric: backend conformance — candidate={args.backend}, "
-        f"atol={tolerance.atol:g}, max_ulps={tolerance.max_ulps}"
-    )
-    report = verify_numeric(
-        candidate=args.backend,
-        seed=args.seed,
-        tolerance=tolerance,
-        sweep_group=None if args.no_sweep else _NUMERIC_SWEEP_GROUP,
-    )
-    ok = True
-    for check in report.checks:
-        ok &= _check(check.label, check.ok, check.detail)
-    if not report.candidate_available:
-        print(
-            f"  note: backend {report.candidate!r} is not importable here; "
-            "its certification was skipped (the reference battery still ran)"
-        )
-    print(f"tier numeric: {'OK' if ok else 'FAILED'}")
-    return 0 if ok else 1
-
-
 def run_verify(args) -> int:
     """Dispatch the ``verify`` subcommand; returns a process exit code."""
     runner = {
         "1": _run_tier1,
         "2": _run_tier2,
         "3": _run_tier3,
-        "numeric": _run_tier_numeric,
     }[str(args.tier)]
     try:
         return runner(args)

@@ -137,10 +137,7 @@ def _golden_dataset():
 
 
 def case_policy(
-    group: GoldenGroup,
-    config: GoldenConfig,
-    telemetry: str = "off",
-    backend: str = "numpy",
+    group: GoldenGroup, config: GoldenConfig, telemetry: str = "off"
 ) -> ExecutionPolicy:
     """The exact :class:`ExecutionPolicy` of one matrix cell.
 
@@ -148,11 +145,9 @@ def case_policy(
     seed); what must *not* change it comes from the config (runtime,
     executor, tiling).  ``telemetry`` is an observation setting, never a
     digest input — the conformance tests run the same cell at ``"off"``
-    and ``"trace"`` and assert one digest.  ``backend`` defaults to the
-    bit-identity numpy reference; non-default backends are compared by
-    the *numeric* tier under certified tolerances, never pinned here.
-    The canonical batched-serial-eager cell's policy (telemetry off) is
-    what :func:`save_store` embeds next to each pinned digest.
+    and ``"trace"`` and assert one digest.  The canonical
+    batched-serial-eager cell's policy (telemetry off) is what
+    :func:`save_store` embeds next to each pinned digest.
     """
     return ExecutionPolicy(
         runtime=config.runtime,
@@ -161,15 +156,11 @@ def case_policy(
         stream_version=group.stream_version,
         seed=group.seed,
         telemetry=telemetry,
-        backend=backend,
     )
 
 
 def run_golden_case(
-    group: GoldenGroup,
-    config: GoldenConfig,
-    telemetry: str = "off",
-    backend: str = "numpy",
+    group: GoldenGroup, config: GoldenConfig, telemetry: str = "off"
 ) -> SweepResult:
     """Execute one (group, config) cell of the conformance matrix.
 
@@ -182,9 +173,7 @@ def run_golden_case(
     """
     dataset = _golden_dataset()
     values = _GOLDEN_RATES if group.figure == "figure5" else None
-    with Session(
-        case_policy(group, config, telemetry=telemetry, backend=backend)
-    ) as session:
+    with Session(case_policy(group, config, telemetry=telemetry)) as session:
         result = session.figure(
             group.figure,
             dataset,

@@ -82,6 +82,12 @@ class TestCrashRecovery:
             assert executor.map(_square, items) == [v * v for v in items]
             victim = next(iter(executor.pool._processes))
             os.kill(victim, signal.SIGKILL)
+            # Let the pool's manager thread see the dead worker first;
+            # otherwise the surviving worker can finish the next map on
+            # its own and the rebuild path never runs.
+            deadline = time.monotonic() + 10.0
+            while not executor.pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
             recorder = make_recorder("summary")
             with use_recorder(recorder):
                 assert executor.map(_square, items) == [v * v for v in items]

@@ -11,6 +11,7 @@ Satellite 3 of the federation PR.  The contract under test:
   nothing partially merged, later clean submissions still accepted.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -124,13 +125,45 @@ class TestTruncation:
             decode_envelope(blobs[0] + b"\x00" * 16, spec.fingerprint())
 
 
+def _v1_envelope(blob):
+    """The same contribution as a version-1 party would have sent it.
+
+    Version 1 headers carried a ``backend`` field that also fed the
+    schema fingerprint; the payload layout is unchanged.
+    """
+    header_line, payload = blob.split(b"\n", 1)
+    header = json.loads(header_line)
+    schema = {
+        key: header[key]
+        for key in ("task", "dim", "block_size", "stream_version", "noise_mode", "parties")
+    }
+    schema["backend"] = "numpy"
+    header.update(
+        wire=1,
+        backend="numpy",
+        fingerprint=hashlib.sha256(json.dumps(schema, sort_keys=True).encode()).hexdigest(),
+    )
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+
+
 class TestVersionSkew:
-    @pytest.mark.parametrize("version", [0, 2, 99, "1", None])
+    @pytest.mark.parametrize("version", [0, 1, 99, "2", None])
     def test_unsupported_wire_versions(self, federation, version):
         _, _, _, blobs = federation
         skewed = _tamper_header(blobs[0], wire=version)
         with pytest.raises(VersionMismatchError):
             decode_envelope(skewed)
+
+    def test_v1_envelope_refused_without_state_change(self, federation):
+        spec, X, y, blobs = federation
+        coordinator = FederatedCoordinator(spec)
+        with pytest.raises(VersionMismatchError):
+            coordinator.submit(_v1_envelope(blobs[0]))
+        assert coordinator.received == ()
+        assert coordinator.n_rows == 0
+        for blob in blobs:
+            coordinator.submit(blob)
+        assert coordinator.fit().digest == centralized_fit(spec, X, y).digest
 
 
 class TestFingerprintMismatch:

@@ -1,45 +1,23 @@
-"""The pluggable array backend: canonicalization, dispatch, invariance.
+"""The kernels' array input gate, ``canonical_array``.
 
-Three contracts under test:
-
-* ``canonical_array`` is the plan boundary's dtype gate — identity for
-  conforming data (cache sharing intact), upcast for narrow floats,
-  loud rejection for integer/object dtypes (guessing an int column was
-  a feature is how silent garbage enters a DP release);
-* the numpy backend is the *bit-identity reference*: routing the stacked
-  kernels through the shim changes nothing, down to the last bit;
-* a non-default backend slots in ambiently (``use_backend``) and via
-  policy, skipping cleanly when the optional dependency is absent.
+``canonical_array`` is the plan boundary's dtype gate — identity for
+conforming data (cache sharing intact), upcast for narrow floats, loud
+rejection for integer/object dtypes (guessing an int column was a
+feature is how silent garbage enters a DP release).  Every public
+stacked kernel applies it, so float32 or strided inputs give the same
+bits as their canonical float64 form.
 """
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.experiments.config import SMOKE
 from repro.runtime import (
-    BACKEND_NAMES,
-    NumpyBackend,
-    active_backend,
-    available_backends,
-    backend_available,
     canonical_array,
     fm_noise_stack,
-    get_backend,
     newton_logistic_stack,
-    plan_cells,
-    run_plan,
     spectral_solve_stack,
-    use_backend,
 )
-from repro.session import ExecutionPolicy
-
-BACKENDS = ("numpy", "torch")
-
-
-def _needs(backend):
-    if backend != "numpy" and not backend_available(backend):
-        pytest.skip(f"optional backend {backend!r} not installed")
 
 
 class TestCanonicalArray:
@@ -118,133 +96,3 @@ class TestKernelCanonicalization:
         folds = np.array([[True] * 8])
         with pytest.raises(ExperimentError, match="dtype"):
             newton_logistic_stack(X, y, folds, np.zeros((1, 2)))
-
-
-class TestBackendRegistry:
-    def test_names_and_availability(self):
-        assert BACKEND_NAMES == ("numpy", "torch")
-        assert backend_available("numpy")
-        assert "numpy" in available_backends()
-
-    def test_get_backend_numpy(self):
-        backend = get_backend("numpy")
-        assert isinstance(backend, NumpyBackend)
-        assert backend.name == "numpy"
-        # Instance pass-through.
-        assert get_backend(backend) is backend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ExperimentError, match="backend"):
-            get_backend("mkl")
-
-    def test_default_ambient_backend_is_numpy(self):
-        assert active_backend().name == "numpy"
-
-    def test_use_backend_nests_and_restores(self):
-        outer = active_backend()
-        with use_backend("numpy") as inner:
-            assert active_backend() is inner
-            with use_backend(NumpyBackend()) as innermost:
-                assert active_backend() is innermost
-            assert active_backend() is inner
-        assert active_backend() is outer
-
-    def test_torch_backend_unavailable_raises_cleanly(self):
-        if backend_available("torch"):
-            backend = get_backend("torch")
-            assert backend.name == "torch"
-        else:
-            with pytest.raises(ExperimentError, match="torch"):
-                get_backend("torch")
-
-    def test_numpy_backend_singular_raises_linalgerror(self):
-        singular = np.zeros((1, 2, 2))
-        with pytest.raises(np.linalg.LinAlgError):
-            get_backend("numpy").solve(singular, np.ones((1, 2, 1)))
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_candidate_singular_raises_linalgerror(self, backend):
-        """Every backend translates its failure to numpy's exception, so
-        kernel retry ladders behave identically."""
-        _needs(backend)
-        singular = np.zeros((1, 2, 2))
-        with pytest.raises(np.linalg.LinAlgError):
-            get_backend(backend).solve(singular, np.ones((1, 2, 1)))
-
-
-class TestPolicyResolution:
-    def test_default_and_explicit(self):
-        assert ExecutionPolicy().backend == "numpy"
-        assert ExecutionPolicy(backend="torch").backend == "torch"
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ExperimentError, match="backend"):
-            ExecutionPolicy(backend="mkl")
-
-    def test_env_layer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "torch")
-        assert ExecutionPolicy.resolve().backend == "torch"
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert ExecutionPolicy.resolve().backend == "numpy"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "torch")
-        resolved = ExecutionPolicy.resolve(explicit={"backend": "numpy"})
-        assert resolved.backend == "numpy"
-
-    def test_cli_flag_parses(self):
-        from repro.experiments.cli import build_parser
-
-        args = build_parser().parse_args(["figure6", "--backend", "torch"])
-        assert args.backend == "torch"
-        args = build_parser().parse_args(["figure6"])
-        assert args.backend is None
-
-
-class TestBackendInvariance:
-    """The shim's headline: numpy == pre-shim bits; torch conforms."""
-
-    def _scores(self, us, backend, algorithm="FM", task="linear", seed=3):
-        plan = plan_cells(
-            algorithm, us, task, dims=5, epsilons=(0.8,), preset=SMOKE, seed=seed
-        )
-        with use_backend(backend):
-            return run_plan(plan, mode="batched").scores[0.8]
-
-    def test_numpy_shim_is_bitwise_identical_to_ambient_default(self, us):
-        # The ambient default *is* a NumpyBackend; an explicitly installed
-        # one must not change a bit.
-        ambient = self._scores(us, active_backend())
-        explicit = self._scores(us, "numpy")
-        assert ambient == explicit
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("algorithm,task", [("FM", "linear"), ("FM", "logistic")])
-    def test_backend_equivalence(self, us, backend, algorithm, task):
-        """Parametrized equivalence: numpy exactly, torch within the
-        numeric tier's certified tolerance."""
-        _needs(backend)
-        reference = np.asarray(self._scores(us, "numpy", algorithm, task))
-        candidate = np.asarray(self._scores(us, backend, algorithm, task))
-        if backend == "numpy":
-            assert np.array_equal(reference, candidate)
-        else:
-            from repro.verify.numeric import DEFAULT_TOLERANCE
-
-            assert DEFAULT_TOLERANCE.conforms(reference, candidate)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_session_policy_installs_backend(self, backend):
-        _needs(backend)
-        from repro.session import Session
-
-        with Session(ExecutionPolicy(scale="smoke", backend=backend)) as session:
-            assert session.backend.name == backend
-
-    def test_session_with_missing_backend_fails_at_construction(self):
-        if backend_available("torch"):
-            pytest.skip("torch installed; the failure path needs it absent")
-        from repro.session import Session
-
-        with pytest.raises(ExperimentError, match="torch"):
-            Session(ExecutionPolicy(scale="smoke", backend="torch"))
