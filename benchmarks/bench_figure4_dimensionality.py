@@ -15,17 +15,17 @@ import pytest
 from conftest import save_and_print
 
 from repro.experiments.config import DEFAULT
-from repro.experiments.figures import figure4_dimensionality
 from repro.experiments.reporting import format_sweep_table, summarize_ordering
+from repro.session import ExecutionPolicy, Session
 
 
 @pytest.mark.parametrize("country", ["us", "brazil"])
 def test_figure4_linear(benchmark, results_dir, country, us_census, brazil_census):
     dataset = us_census if country == "us" else brazil_census
     result = benchmark.pedantic(
-        figure4_dimensionality,
-        args=(dataset, "linear"),
-        kwargs={"preset": DEFAULT},
+        Session(ExecutionPolicy()).figure,
+        args=("figure4", dataset, "linear"),
+        kwargs={"preset": DEFAULT, "seed": 4},
         rounds=1,
         iterations=1,
     )
@@ -46,9 +46,9 @@ def test_figure4_linear(benchmark, results_dir, country, us_census, brazil_censu
 def test_figure4_logistic(benchmark, results_dir, country, us_census, brazil_census):
     dataset = us_census if country == "us" else brazil_census
     result = benchmark.pedantic(
-        figure4_dimensionality,
-        args=(dataset, "logistic"),
-        kwargs={"preset": DEFAULT},
+        Session(ExecutionPolicy()).figure,
+        args=("figure4", dataset, "logistic"),
+        kwargs={"preset": DEFAULT, "seed": 4},
         rounds=1,
         iterations=1,
     )

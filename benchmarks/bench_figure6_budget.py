@@ -14,8 +14,8 @@ import pytest
 from conftest import save_and_print
 
 from repro.experiments.config import DEFAULT
-from repro.experiments.figures import figure6_privacy_budget
 from repro.experiments.reporting import format_sweep_table, summarize_ordering
+from repro.session import ExecutionPolicy, Session
 
 
 @pytest.mark.parametrize("country", ["us", "brazil"])
@@ -23,9 +23,9 @@ from repro.experiments.reporting import format_sweep_table, summarize_ordering
 def test_figure6(benchmark, results_dir, country, task, us_census, brazil_census):
     dataset = us_census if country == "us" else brazil_census
     result = benchmark.pedantic(
-        figure6_privacy_budget,
-        args=(dataset, task),
-        kwargs={"preset": DEFAULT},
+        Session(ExecutionPolicy()).figure,
+        args=("figure6", dataset, task),
+        kwargs={"preset": DEFAULT, "seed": 6},
         rounds=1,
         iterations=1,
     )

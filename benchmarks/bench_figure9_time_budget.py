@@ -10,17 +10,17 @@ import pytest
 from conftest import save_and_print
 
 from repro.experiments.config import DEFAULT
-from repro.experiments.figures import figure9_time_budget
 from repro.experiments.reporting import format_time_table
+from repro.session import ExecutionPolicy, Session
 
 
 @pytest.mark.parametrize("country", ["us", "brazil"])
 def test_figure9_time(benchmark, results_dir, country, us_census, brazil_census):
     dataset = us_census if country == "us" else brazil_census
     result = benchmark.pedantic(
-        figure9_time_budget,
-        args=(dataset,),
-        kwargs={"preset": DEFAULT},
+        Session(ExecutionPolicy()).figure,
+        args=("figure9", dataset),
+        kwargs={"preset": DEFAULT, "seed": 9},
         rounds=1,
         iterations=1,
     )

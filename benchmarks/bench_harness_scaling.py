@@ -26,11 +26,10 @@ Assertions:
 Results merge into ``BENCH_harness.json`` under ``scaling_benchmarks``.
 
 Pool reuse (the session API's executor lifecycle): a second measurement
-compares N consecutive ``evaluate`` calls under the legacy lifecycle — a
-fresh fork pool spun up inside every call (``Session(...,
-reuse_pool=False)``, exactly what the deprecated kwarg entry points do) —
-against one :class:`repro.session.Session` holding a single persistent
-pool across all N calls.  Both modes must produce identical score
+compares N consecutive ``evaluate`` calls with a fresh fork pool spun up
+inside every call (``executor=ProcessExecutor(max_workers=2)`` passed per
+call) against one :class:`repro.session.Session` holding a single
+persistent pool across all N calls.  Both modes must produce identical score
 digests; the timings record what per-call pool spin-up costs.  Results
 merge into ``BENCH_harness.json`` under ``session_pool_reuse`` with the
 exact :class:`~repro.session.ExecutionPolicy` embedded.
@@ -175,18 +174,20 @@ import hashlib, json, struct, sys, time
 records, calls, mode = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 from repro.data.census import load_us
 from repro.experiments.config import ScalePreset
+from repro.runtime import ProcessExecutor
 from repro.session import ExecutionPolicy, Session
 
 dataset = load_us(records)
 preset = ScalePreset(name="pool", max_records=None, folds=5, repetitions=4)
 policy = ExecutionPolicy(executor="process", tile_size=1, max_workers=2)
 digest = hashlib.sha256()
-with Session(policy, reuse_pool=(mode == "session")) as session:
+with Session(policy) as session:
     started = time.perf_counter()
     for call in range(calls):
+        per_call = ProcessExecutor(max_workers=2) if mode == "per-call" else None
         result = session.evaluate(
             "FM", dataset, "linear", dims=14, epsilon=0.8,
-            preset=preset, seed=100 + call,
+            preset=preset, seed=100 + call, executor=per_call,
         )
         digest.update(struct.pack("<dd", result.mean_score, result.std_score))
     seconds = time.perf_counter() - started

@@ -47,8 +47,8 @@ Package map
     JSON-serializable policy object for every execution knob (layered
     resolution over ``REPRO_*`` environment variables and policy files)
     and a Session facade owning cross-call state — prepared-data cache,
-    reusable executor pool, dataset registry.  The canonical entry
-    points; the legacy free functions are deprecation shims over it.
+    reusable executor pool, dataset registry.  The one way into the
+    Section-7 protocol.
 ``repro.experiments``
     Table-2 parameter grid, cross-validation harness, per-figure drivers.
 ``repro.verify``

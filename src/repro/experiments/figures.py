@@ -7,17 +7,12 @@ held-out metric and the fit wall-time, so a timing figure is the time-view
 of the corresponding accuracy sweep restricted to the logistic task (as in
 the paper: "we only report the results for logistic regression").
 
-Since the :mod:`repro.session` API landed, the sweep drivers are
-**compatibility shims**: what each figure runs is declared once in
-:data:`repro.session.registry.FIGURE_SPECS`, and the public
-``figure4_dimensionality`` ... ``figure9_time_budget`` functions warn,
-build a one-shot :class:`~repro.session.Session` from their kwargs and
-dispatch through :meth:`~repro.session.Session.figure` — replacing the
-six hand-copied execution-kwarg pass-through blocks they used to carry.
-The private ``_accuracy_sweep_impl`` / ``_budget_sweep_impl`` bodies stay
-here as the single sweep machinery both worlds execute (bitwise
-identically).  Figures 2-3 (the worked examples) take no execution kwargs
-and are not shimmed.
+Figures 2-3 (the worked examples) are plain functions here.  What each
+sweep figure (4-9) runs is declared once in
+:data:`repro.session.registry.FIGURE_SPECS` and executed through
+:meth:`repro.session.Session.figure`; the private :func:`_accuracy_sweep`
+and :func:`_budget_sweep` bodies below are the sweep machinery that
+dispatch lands on.
 """
 
 from __future__ import annotations
@@ -39,13 +34,12 @@ from .config import (
     LINEAR_ALGORITHMS,
     LOGISTIC_ALGORITHMS,
     PRIVACY_BUDGETS,
-    SAMPLING_RATES,
     ScalePreset,
 )
 from .harness import (
     EvaluationResult,
-    _evaluate_algorithms_impl,
-    _evaluate_fm_budget_sweep_impl,
+    _evaluate_algorithms,
+    _evaluate_fm_budget_sweep,
 )
 
 __all__ = [
@@ -53,13 +47,6 @@ __all__ = [
     "figure2_objective_example",
     "figure3_approximation_example",
     "SweepResult",
-    "accuracy_sweep",
-    "figure4_dimensionality",
-    "figure5_cardinality",
-    "figure6_privacy_budget",
-    "figure7_time_dimensionality",
-    "figure8_time_cardinality",
-    "figure9_time_budget",
 ]
 
 
@@ -182,7 +169,7 @@ def _algorithms_for(task: Task) -> tuple[str, ...]:
     return LINEAR_ALGORITHMS if task == "linear" else LOGISTIC_ALGORITHMS
 
 
-def _accuracy_sweep_impl(
+def _accuracy_sweep(
     dataset: CensusDataset,
     task: Task,
     parameter: Literal["dimensionality", "sampling_rate", "epsilon"],
@@ -191,10 +178,11 @@ def _accuracy_sweep_impl(
     preset: ScalePreset = DEFAULT,
     algorithms: Sequence[str] | None = None,
     seed: int = 0,
+    *,
+    stream_version: int,
     runtime: str = "batched",
     executor="serial",
     tile_size: int | None = None,
-    stream_version: int = 1,
     prepared_cache=None,
 ) -> SweepResult:
     """The sweep machinery behind every accuracy/timing figure.
@@ -210,8 +198,8 @@ def _accuracy_sweep_impl(
     fold-level moment blocks can never collide across points — each
     point's ``seed + 1000 * i`` derives distinct fold permutations, and
     the moment key includes the train-index digest — so the timing
-    figures' reported fit times keep the per-point attribution of the
-    pre-session code within a sweep.
+    figures' reported fit times keep their per-point attribution within
+    a sweep.
     """
     algorithms = tuple(algorithms or _algorithms_for(task))
     series: dict[str, list[EvaluationResult]] = {name: [] for name in algorithms}
@@ -219,7 +207,7 @@ def _accuracy_sweep_impl(
         dims = value if parameter == "dimensionality" else DEFAULT_DIMENSIONALITY
         rate = value if parameter == "sampling_rate" else 1.0
         epsilon = value if parameter == "epsilon" else DEFAULT_EPSILON
-        point = _evaluate_algorithms_impl(
+        point = _evaluate_algorithms(
             algorithms,
             dataset,
             task,
@@ -246,17 +234,18 @@ def _accuracy_sweep_impl(
     )
 
 
-def _budget_sweep_impl(
+def _budget_sweep(
     dataset: CensusDataset,
     task: Task,
     figure: str,
     preset: ScalePreset,
     seed: int,
     engine: bool,
+    *,
+    stream_version: int,
     runtime: str = "batched",
     executor="serial",
     tile_size: int | None = None,
-    stream_version: int = 1,
     prepared_cache=None,
     shards: int = 1,
 ) -> SweepResult:
@@ -272,20 +261,20 @@ def _budget_sweep_impl(
     """
     algorithms = _algorithms_for(task)
     if not engine:
-        return _accuracy_sweep_impl(
+        return _accuracy_sweep(
             dataset, task, "epsilon", PRIVACY_BUDGETS, figure=figure,
             preset=preset, seed=seed, runtime=runtime, executor=executor,
             tile_size=tile_size, stream_version=stream_version,
             prepared_cache=prepared_cache,
         )
-    others = _accuracy_sweep_impl(
+    others = _accuracy_sweep(
         dataset, task, "epsilon", PRIVACY_BUDGETS, figure=figure,
         preset=preset, seed=seed, runtime=runtime, executor=executor,
         tile_size=tile_size, stream_version=stream_version,
         algorithms=[name for name in algorithms if name != "FM"],
         prepared_cache=prepared_cache,
     )
-    fm = _evaluate_fm_budget_sweep_impl(
+    fm = _evaluate_fm_budget_sweep(
         dataset, task, dims=DEFAULT_DIMENSIONALITY, epsilons=PRIVACY_BUDGETS,
         preset=preset, seed=seed, shards=shards,
         runtime="auto" if runtime == "batched" else runtime,
@@ -305,206 +294,4 @@ def _budget_sweep_impl(
         parameter="epsilon",
         values=tuple(PRIVACY_BUDGETS),
         series=series,
-    )
-
-
-# ----------------------------------------------------------------------
-# Deprecated driver shims (see repro.session.registry for the specs)
-# ----------------------------------------------------------------------
-def _legacy_figure(
-    name: str,
-    entry_point: str,
-    dataset: CensusDataset,
-    task: Task | None,
-    preset: ScalePreset,
-    seed: int,
-    runtime: str,
-    executor,
-    tile_size: int | None,
-    stream_version: int | None,
-    values: Sequence | None = None,
-    engine: bool | None = None,
-) -> SweepResult:
-    """One-shot-session dispatch shared by every deprecated driver."""
-    from ..session.compat import legacy_session
-
-    with legacy_session(
-        entry_point,
-        runtime=runtime,
-        executor=executor,
-        tile_size=tile_size,
-        stream_version=stream_version,
-        seed=seed,
-        stacklevel=5,  # user -> figureN shim -> _legacy_figure -> here
-    ) as (session, override):
-        return session.figure(
-            name, dataset, task, preset=preset, seed=seed,
-            values=values, engine=engine, executor=override,
-        )
-
-
-def accuracy_sweep(
-    dataset: CensusDataset,
-    task: Task,
-    parameter: Literal["dimensionality", "sampling_rate", "epsilon"],
-    values: Sequence,
-    figure: str,
-    preset: ScalePreset = DEFAULT,
-    algorithms: Sequence[str] | None = None,
-    seed: int = 0,
-    runtime: str = "batched",
-    executor: str = "serial",
-    tile_size: int | None = None,
-    stream_version: int | None = None,
-) -> SweepResult:
-    """Evaluate all panel algorithms across one Table-2 parameter sweep.
-
-    .. deprecated::
-        Superseded by :meth:`repro.session.Session.sweep` with
-        bitwise-identical results.
-    """
-    from ..session.compat import legacy_session
-
-    with legacy_session(
-        "accuracy_sweep",
-        runtime=runtime,
-        executor=executor,
-        tile_size=tile_size,
-        stream_version=stream_version,
-        seed=seed,
-    ) as (session, override):
-        return session.sweep(
-            dataset, task, parameter, tuple(values), figure,
-            preset=preset, algorithms=algorithms, seed=seed,
-            executor=override,
-        )
-
-
-def figure4_dimensionality(
-    dataset: CensusDataset,
-    task: Task,
-    preset: ScalePreset = DEFAULT,
-    seed: int = 4,
-    runtime: str = "batched",
-    executor: str = "serial",
-    tile_size: int | None = None,
-    stream_version: int | None = None,
-) -> SweepResult:
-    """Figure 4: accuracy vs dataset dimensionality (5, 8, 11, 14).
-
-    .. deprecated:: use ``Session.figure("figure4", ...)``.
-    """
-    return _legacy_figure(
-        "figure4", "figure4_dimensionality", dataset, task, preset, seed,
-        runtime, executor, tile_size, stream_version,
-    )
-
-
-def figure5_cardinality(
-    dataset: CensusDataset,
-    task: Task,
-    preset: ScalePreset = DEFAULT,
-    seed: int = 5,
-    rates: Sequence[float] = SAMPLING_RATES,
-    runtime: str = "batched",
-    executor: str = "serial",
-    tile_size: int | None = None,
-    stream_version: int | None = None,
-) -> SweepResult:
-    """Figure 5: accuracy vs dataset cardinality (sampling rate 0.1-1.0).
-
-    .. deprecated:: use ``Session.figure("figure5", ..., values=rates)``.
-    """
-    return _legacy_figure(
-        "figure5", "figure5_cardinality", dataset, task, preset, seed,
-        runtime, executor, tile_size, stream_version, values=tuple(rates),
-    )
-
-
-def figure6_privacy_budget(
-    dataset: CensusDataset,
-    task: Task,
-    preset: ScalePreset = DEFAULT,
-    seed: int = 6,
-    engine: bool = True,
-    runtime: str = "batched",
-    executor: str = "serial",
-    tile_size: int | None = None,
-    stream_version: int | None = None,
-) -> SweepResult:
-    """Figure 6: accuracy vs privacy budget (epsilon 0.1-3.2).
-
-    NoPrivacy and Truncated ignore epsilon, reproducing the paper's flat
-    reference lines.  By default FM is computed by the one-pass
-    :mod:`repro.engine` sweep; pass ``engine=False`` for the historical
-    per-point loop.
-
-    .. deprecated:: use ``Session.figure("figure6", ...)``.
-    """
-    return _legacy_figure(
-        "figure6", "figure6_privacy_budget", dataset, task, preset, seed,
-        runtime, executor, tile_size, stream_version, engine=engine,
-    )
-
-
-def figure7_time_dimensionality(
-    dataset: CensusDataset,
-    preset: ScalePreset = DEFAULT,
-    seed: int = 7,
-    runtime: str = "batched",
-    executor: str = "serial",
-    tile_size: int | None = None,
-    stream_version: int | None = None,
-) -> SweepResult:
-    """Figure 7: computation time vs dimensionality (logistic task).
-
-    .. deprecated:: use ``Session.figure("figure7", ...)``.
-    """
-    return _legacy_figure(
-        "figure7", "figure7_time_dimensionality", dataset, None, preset,
-        seed, runtime, executor, tile_size, stream_version,
-    )
-
-
-def figure8_time_cardinality(
-    dataset: CensusDataset,
-    preset: ScalePreset = DEFAULT,
-    seed: int = 8,
-    rates: Sequence[float] = SAMPLING_RATES,
-    runtime: str = "batched",
-    executor: str = "serial",
-    tile_size: int | None = None,
-    stream_version: int | None = None,
-) -> SweepResult:
-    """Figure 8: computation time vs cardinality (logistic task).
-
-    .. deprecated:: use ``Session.figure("figure8", ..., values=rates)``.
-    """
-    return _legacy_figure(
-        "figure8", "figure8_time_cardinality", dataset, None, preset, seed,
-        runtime, executor, tile_size, stream_version, values=tuple(rates),
-    )
-
-
-def figure9_time_budget(
-    dataset: CensusDataset,
-    preset: ScalePreset = DEFAULT,
-    seed: int = 9,
-    engine: bool = True,
-    runtime: str = "batched",
-    executor: str = "serial",
-    tile_size: int | None = None,
-    stream_version: int | None = None,
-) -> SweepResult:
-    """Figure 9: computation time vs privacy budget (logistic task).
-
-    With ``engine=True`` (default) FM's times reflect the one-pass engine:
-    per-epsilon marginal solve time plus an amortized share of the single
-    statistics pass.
-
-    .. deprecated:: use ``Session.figure("figure9", ...)``.
-    """
-    return _legacy_figure(
-        "figure9", "figure9_time_budget", dataset, None, preset, seed,
-        runtime, executor, tile_size, stream_version, engine=engine,
     )

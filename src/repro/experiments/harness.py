@@ -16,7 +16,7 @@ repetitions at a time, and run either through the batched tensor kernels
 through the masked batched Newton) or cell by cell as the reference oracle.
 All paths produce bitwise-identical scores at any tiling and on any
 executor; ``runtime="percell"`` exists to prove it and to time the
-baseline.  :func:`evaluate_algorithms` additionally runs a whole algorithm
+baseline.  :func:`_evaluate_algorithms` additionally runs a whole algorithm
 panel as one group — shared prepared-data cache, merged cross-algorithm
 stacked solves — still bit-identical to evaluating each algorithm alone.
 
@@ -26,19 +26,18 @@ see independent noise across cells regardless of execution order — or of
 which runtime path executes them.
 
 Budget sweeps have a dedicated fast path,
-:func:`evaluate_fm_budget_sweep`: because FM's database-level coefficients
+:func:`_evaluate_fm_budget_sweep`: because FM's database-level coefficients
 do not depend on epsilon, each (repetition, fold) training split is
 aggregated **once** and refit at every budget — O(1 data pass + n_eps
 solves) instead of O(n_eps) passes.  The default routes through the batched
-runtime; ``runtime="engine"`` keeps PR 1's streaming
-:mod:`repro.engine` path (and is implied by ``shards > 1``).
+runtime; ``runtime="engine"`` keeps the streaming :mod:`repro.engine` path
+(and is implied by ``shards > 1``).
 
-Deprecation note: the public functions here are **compatibility shims**
-since the :mod:`repro.session` API landed — each one warns, builds a
-one-shot :class:`~repro.session.Session` from its kwargs, and delegates
-to the private ``_*_impl`` twins the session entry points call directly.
-Results are bitwise identical either way (asserted by
-``tests/session/test_session_equivalence.py``); only the warning differs.
+The protocol bodies are private: :class:`repro.session.Session` and
+:func:`repro.session.registry.run_figure` call them with every execution
+argument taken from an :class:`~repro.session.ExecutionPolicy`.
+``stream_version`` is therefore a required keyword — a caller can never
+silently get a stream format other than the one its policy names.
 """
 
 from __future__ import annotations
@@ -74,16 +73,9 @@ from .config import DEFAULT, ScalePreset
 
 __all__ = [
     "EvaluationResult",
-    "evaluate_algorithm",
-    "evaluate_algorithms",
-    "evaluate_fm_budget_sweep",
     "objective_for",
     "score_from_scores",
 ]
-
-
-#: Back-compat alias — the key derivation now lives with the cell planner.
-_algorithm_stream_key = algorithm_stream_key
 
 
 def objective_for(task: Task, dim: int):
@@ -154,7 +146,7 @@ def _result_for_epsilon(
     )
 
 
-def evaluate_algorithm(
+def _evaluate_algorithm(
     algorithm: str,
     dataset: CensusDataset,
     task: Task,
@@ -164,18 +156,14 @@ def evaluate_algorithm(
     sampling_rate: float = 1.0,
     seed: int = 0,
     algorithm_kwargs: Mapping | None = None,
+    *,
+    stream_version: int,
     runtime: str = "batched",
     executor: str | CellExecutor = "serial",
     tile_size: int | None = None,
-    stream_version: int | None = None,
+    prepared_cache: PreparedDataCache | None = None,
 ) -> EvaluationResult:
     """Run the full repeated-CV protocol for one algorithm at one sweep point.
-
-    .. deprecated::
-        Threading execution kwargs per call is superseded by
-        :class:`repro.session.Session` —
-        ``Session(policy).evaluate(algorithm, dataset, task, dims,
-        epsilon, ...)`` — with bitwise-identical results.
 
     Parameters
     ----------
@@ -195,72 +183,24 @@ def evaluate_algorithm(
         Base seed; all cell substreams derive from it.
     algorithm_kwargs:
         Extra constructor arguments (ablation benches use this).
-    runtime:
-        ``"batched"`` (default) executes supported algorithms through the
-        stacked runtime kernels; ``"percell"`` forces the per-cell
-        reference path.  Scores are bitwise identical either way.
-    executor:
-        Executor for parallel work: ``"serial"``, ``"thread"`` or
-        ``"process"``.  Spreads per-cell work (non-batchable baselines, or
-        everything under ``runtime="percell"``), and with ``tile_size``
-        set and multiple tiles, whole batched tiles.
-    tile_size:
-        ``None`` (default) plans eagerly — all repetitions' prepared
-        arrays resident at once, as before.  An integer bounds the
-        resident set to that many repetitions per tile (``1`` restores the
-        historical one-rep-at-a-time memory profile).  Scores are bitwise
-        identical at every tiling.
     stream_version:
-        :func:`~repro.privacy.rng.derive_substream` format; ``None``
-        follows :data:`repro.session.DEFAULT_STREAM_VERSION` (2, the
-        fixed alias-free derivation, since PR 6); ``1`` reproduces the
-        historical streams bit for bit.
-    """
-    from ..session.compat import legacy_session
-
-    with legacy_session(
-        "evaluate_algorithm",
-        runtime=runtime,
-        executor=executor,
-        tile_size=tile_size,
-        stream_version=stream_version,
-        seed=seed,
-    ) as (session, override):
-        return session.evaluate(
-            algorithm,
-            dataset,
-            task,
-            dims,
-            epsilon,
-            preset=preset,
-            sampling_rate=sampling_rate,
-            seed=seed,
-            algorithm_kwargs=algorithm_kwargs,
-            executor=override,
-        )
-
-
-def _evaluate_algorithm_impl(
-    algorithm: str,
-    dataset: CensusDataset,
-    task: Task,
-    dims: int,
-    epsilon: float,
-    preset: ScalePreset = DEFAULT,
-    sampling_rate: float = 1.0,
-    seed: int = 0,
-    algorithm_kwargs: Mapping | None = None,
-    runtime: str = "batched",
-    executor: str | CellExecutor = "serial",
-    tile_size: int | None = None,
-    stream_version: int = 1,
-    prepared_cache: PreparedDataCache | None = None,
-) -> EvaluationResult:
-    """The protocol body behind :func:`evaluate_algorithm` (no warning).
-
-    ``prepared_cache`` opts into cross-call prepared-data reuse (a
-    session passes its persistent cache); every other parameter is
-    documented on the public shim.
+        :func:`~repro.privacy.rng.derive_substream` format (``2`` is the
+        alias-free derivation, ``1`` the historical one).
+    runtime:
+        ``"batched"`` executes supported algorithms through the stacked
+        runtime kernels; ``"percell"`` forces the per-cell reference path.
+        Scores are bitwise identical either way.
+    executor:
+        Where parallel work runs: per-cell work (non-batchable baselines,
+        or everything under ``runtime="percell"``) and, with several
+        tiles, whole batched tiles.
+    tile_size:
+        ``None`` plans eagerly; an integer bounds the resident set to that
+        many repetitions per tile.  Scores are bitwise identical at every
+        tiling.
+    prepared_cache:
+        Cross-call prepared-data reuse (a session passes its persistent
+        cache).
     """
     if tile_size is None:
         plan = plan_cells(
@@ -295,7 +235,7 @@ def _evaluate_algorithm_impl(
     return _result_for_epsilon(outcome, algorithm, task, float(epsilon))
 
 
-def evaluate_fm_budget_sweep(
+def _evaluate_fm_budget_sweep(
     dataset: CensusDataset,
     task: Task,
     dims: int,
@@ -306,28 +246,26 @@ def evaluate_fm_budget_sweep(
     shards: int = 1,
     post_processing: str = "spectral",
     tight_sensitivity: bool = False,
+    *,
+    stream_version: int,
     runtime: str = "auto",
     executor: str | CellExecutor = "serial",
     tile_size: int | None = None,
-    stream_version: int | None = None,
+    prepared_cache: PreparedDataCache | None = None,
 ) -> dict[float, EvaluationResult]:
     """Run FM's repeated-CV protocol at *all* budgets with one pass per cell.
 
-    .. deprecated::
-        Superseded by :meth:`repro.session.Session.budget_sweep` with
-        bitwise-identical results.
-
-    Mirrors :func:`evaluate_algorithm` for the ``"FM"`` algorithm across an
-    epsilon vector, but instead of refitting from the raw data per budget,
-    each (repetition, fold) training split is aggregated exactly once and
-    refit at every epsilon from the finalized coefficients.
+    Mirrors :func:`_evaluate_algorithm` for the ``"FM"`` algorithm across
+    an epsilon vector, but instead of refitting from the raw data per
+    budget, each (repetition, fold) training split is aggregated exactly
+    once and refit at every epsilon from the finalized coefficients.
 
     Unlike the per-point loop path — where every sweep point re-derives its
     own subsample and folds — all epsilons here share each repetition's
     folds; that is precisely what makes one pass possible, and the paper's
     protocol averages over folds either way.
 
-    Parameters mirror :func:`evaluate_algorithm`; additionally:
+    Parameters mirror :func:`_evaluate_algorithm`; additionally:
 
     shards:
         Parallel ingestion shards for the streaming-engine path (implies
@@ -335,58 +273,12 @@ def evaluate_fm_budget_sweep(
     post_processing / tight_sensitivity:
         Mechanism configuration, as the FM estimator kwargs would be.
     runtime:
-        ``"auto"`` (default) picks the batched runtime, falling back to the
+        ``"auto"`` picks the batched runtime, falling back to the
         streaming engine when ``shards > 1`` or a non-spectral repair is
         requested; ``"batched"`` / ``"percell"`` force the runtime paths;
-        ``"engine"`` forces the PR-1 streaming-accumulator path.
-    tile_size / stream_version:
-        As in :func:`evaluate_algorithm`.  ``tile_size`` applies to the
-        runtime paths (the engine path already streams one repetition at a
-        time and ignores it).
+        ``"engine"`` forces the streaming-accumulator path (which already
+        streams one repetition at a time and ignores ``tile_size``).
     """
-    from ..session.compat import legacy_session
-
-    with legacy_session(
-        "evaluate_fm_budget_sweep",
-        runtime=runtime,
-        executor=executor,
-        tile_size=tile_size,
-        stream_version=stream_version,
-        seed=seed,
-        shards=shards,
-    ) as (session, override):
-        return session.budget_sweep(
-            dataset,
-            task,
-            dims,
-            epsilons,
-            preset=preset,
-            sampling_rate=sampling_rate,
-            seed=seed,
-            post_processing=post_processing,
-            tight_sensitivity=tight_sensitivity,
-            executor=override,
-        )
-
-
-def _evaluate_fm_budget_sweep_impl(
-    dataset: CensusDataset,
-    task: Task,
-    dims: int,
-    epsilons: Sequence[float],
-    preset: ScalePreset = DEFAULT,
-    sampling_rate: float = 1.0,
-    seed: int = 0,
-    shards: int = 1,
-    post_processing: str = "spectral",
-    tight_sensitivity: bool = False,
-    runtime: str = "auto",
-    executor: str | CellExecutor = "serial",
-    tile_size: int | None = None,
-    stream_version: int = 1,
-    prepared_cache: PreparedDataCache | None = None,
-) -> dict[float, EvaluationResult]:
-    """The sweep body behind :func:`evaluate_fm_budget_sweep` (no warning)."""
     epsilon_values = [float(e) for e in epsilons]
     if not epsilon_values:
         raise ExperimentError("epsilons must be non-empty")
@@ -457,13 +349,14 @@ def _fm_budget_sweep_engine(
     task: Task,
     dims: int,
     epsilon_values: list[float],
+    *,
     preset: ScalePreset,
     sampling_rate: float,
     seed: int,
     shards: int,
     post_processing: str,
     tight_sensitivity: bool,
-    stream_version: int = 1,
+    stream_version: int,
 ) -> dict[float, EvaluationResult]:
     """The streaming-engine sweep: accumulate once per fold, refit per epsilon.
 
@@ -539,7 +432,7 @@ def _fm_budget_sweep_engine(
     }
 
 
-def evaluate_algorithms(
+def _evaluate_algorithms(
     algorithms: Sequence[str],
     dataset: CensusDataset,
     task: Task,
@@ -548,16 +441,14 @@ def evaluate_algorithms(
     preset: ScalePreset = DEFAULT,
     sampling_rate: float = 1.0,
     seed: int = 0,
+    *,
+    stream_version: int,
     runtime: str = "batched",
     executor: str | CellExecutor = "serial",
     tile_size: int | None = None,
-    stream_version: int | None = None,
+    prepared_cache: PreparedDataCache | None = None,
 ) -> dict[str, EvaluationResult]:
     """Evaluate several algorithms at one sweep point; keyed by name.
-
-    .. deprecated::
-        Superseded by :meth:`repro.session.Session.evaluate_panel` with
-        bitwise-identical results.
 
     All algorithms plan over one shared
     :class:`~repro.runtime.PreparedDataCache` — each repetition's prepared
@@ -565,60 +456,19 @@ def evaluate_algorithms(
     materialize once for the whole panel instead of once per algorithm —
     and execute as one :func:`~repro.runtime.run_plan_group`, which merges
     the quadratic algorithms' closed-form solves into one stacked LAPACK
-    call.  Results are bitwise identical to looping
-    :func:`evaluate_algorithm` per name (asserted by the runtime suite);
+    call.  Results are bitwise identical to calling
+    :func:`_evaluate_algorithm` per name (asserted by the runtime suite);
     only the wall-clock and peak memory differ.
 
     The grouped path always plans **tiled**: a group holds every
     algorithm's plan at once, so eager planning would multiply the peak
     resident set by the panel size whenever repetitions cannot share
     prepared arrays (any subsampled preset or sampling rate < 1).  With
-    ``tile_size=None`` (default) residency is bounded at one repetition
-    per algorithm — the minimal-memory schedule; pass a larger
-    ``tile_size`` to trade memory for fewer, larger dispatches.
-    """
-    from ..session.compat import legacy_session
-
-    with legacy_session(
-        "evaluate_algorithms",
-        runtime=runtime,
-        executor=executor,
-        tile_size=tile_size,
-        stream_version=stream_version,
-        seed=seed,
-    ) as (session, override):
-        return session.evaluate_panel(
-            algorithms,
-            dataset,
-            task,
-            dims,
-            epsilon,
-            preset=preset,
-            sampling_rate=sampling_rate,
-            seed=seed,
-            executor=override,
-        )
-
-
-def _evaluate_algorithms_impl(
-    algorithms: Sequence[str],
-    dataset: CensusDataset,
-    task: Task,
-    dims: int,
-    epsilon: float,
-    preset: ScalePreset = DEFAULT,
-    sampling_rate: float = 1.0,
-    seed: int = 0,
-    runtime: str = "batched",
-    executor: str | CellExecutor = "serial",
-    tile_size: int | None = None,
-    stream_version: int = 1,
-    prepared_cache: PreparedDataCache | None = None,
-) -> dict[str, EvaluationResult]:
-    """The grouped-panel body behind :func:`evaluate_algorithms`.
-
-    ``prepared_cache`` defaults to a fresh per-call cache (the legacy
-    behaviour); a session passes its persistent one.
+    ``tile_size=None`` residency is bounded at one repetition per
+    algorithm — the minimal-memory schedule; a larger ``tile_size``
+    trades memory for fewer, larger dispatches.  ``prepared_cache``
+    defaults to a fresh per-call cache; a session passes its persistent
+    one.
     """
     cache = PreparedDataCache() if prepared_cache is None else prepared_cache
     plans = [

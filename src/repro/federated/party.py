@@ -232,8 +232,11 @@ def run_parties(
     ``executor`` is any :class:`~repro.runtime.executor.CellExecutor`;
     a pooled process executor makes the parties real OS processes.
     Results come back in party order (the executor contract), as bytes
-    or paths per :class:`PartyWork`.
+    or paths per :class:`PartyWork`.  ``out_dir`` is created (with its
+    parents) here, once, before any party runs.
     """
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     slices = split_rows(X, y, spec.parties, block_size=spec.block_size)
     items = [(k, Xk, yk) for k, (Xk, yk) in enumerate(slices)]
     work = PartyWork(spec, out_dir=out_dir)

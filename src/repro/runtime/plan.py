@@ -36,8 +36,8 @@ comparable at the bitwise level rather than just statistically.
 
 Prepared-data reuse
 -------------------
-A :class:`PreparedDataCache` can be shared by several plans (the harness's
-``evaluate_algorithms`` shares one across every algorithm of a panel, and a
+A :class:`PreparedDataCache` can be shared by several plans (a Session's
+``evaluate_panel`` shares one across every algorithm of a panel, and a
 :class:`TiledPlan` shares one across its tiles).  It provides two reuses,
 both bit-exact because they only share *identical* values:
 
@@ -456,11 +456,11 @@ def plan_cells(
     fold permutation, all from the repetition substream in that order — so
     executing the plan reproduces the loop bit for bit.
 
-    Parameters mirror :func:`repro.experiments.harness.evaluate_algorithm`,
-    except ``epsilons`` is a vector: a multi-budget plan shares each
-    repetition's subsample and folds across budgets (the one-pass layout of
-    :func:`~repro.experiments.harness.evaluate_fm_budget_sweep`), while a
-    single-budget plan is exactly one harness sweep point.
+    Parameters mirror :meth:`repro.session.Session.evaluate`, except
+    ``epsilons`` is a vector: a multi-budget plan shares each repetition's
+    subsample and folds across budgets (the one-pass layout of
+    :meth:`~repro.session.Session.budget_sweep`), while a single-budget
+    plan is exactly one harness sweep point.
     ``stream_version`` selects the :func:`derive_substream` format (the
     default, 1, is the historical derivation); ``prepared_cache`` opts into
     cross-plan prepared-data reuse.

@@ -10,10 +10,8 @@ The canonical way to run this reproduction since PR 5:
 * :class:`Session` — a facade owning process state across calls: a
   persistent prepared-data cache, a reusable executor pool, and the
   dataset registry; ``evaluate`` / ``evaluate_panel`` / ``budget_sweep``
-  / ``sweep`` / ``figure`` are the canonical entry points.
-
-The legacy free functions keep working through deprecation shims
-(:mod:`repro.session.compat`) with bitwise-identical results.
+  / ``sweep`` / ``figure`` are the only entry points into the Section-7
+  protocol.
 """
 
 from .policy import (

@@ -1,16 +1,12 @@
 """The figure-driver registry: one spec per sweep figure, one dispatch path.
 
-Before sessions, every figure driver (``figure4_dimensionality`` ...
-``figure9_time_budget``) repeated an identical pass-through block of
-execution kwargs on its way to :func:`~repro.experiments.figures
-.accuracy_sweep`.  This registry collapses the six drivers to data: a
-:class:`FigureSpec` names the swept Table-2 parameter, its default values,
-whether the task is caller-chosen or pinned (the timing figures are
-logistic-only, as in the paper), and whether the figure has the one-pass
-FM budget-sweep fast path.  :func:`run_figure` is the single execution
-path every spec dispatches through — the Session's
-:meth:`~repro.session.Session.figure` entry point, the legacy driver
-shims, the CLI and the golden-oracle registry all land here.
+The six sweep figures are data: a :class:`FigureSpec` names the swept
+Table-2 parameter, its default values, whether the task is caller-chosen
+or pinned (the timing figures are logistic-only, as in the paper), and
+whether the figure has the one-pass FM budget-sweep fast path.
+:func:`run_figure` is the single execution path every spec dispatches
+through — the Session's :meth:`~repro.session.Session.figure` entry point
+(and through it the CLI and the golden-oracle registry) lands here.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from ..experiments.config import (
     SAMPLING_RATES,
     ScalePreset,
 )
-from ..experiments.figures import SweepResult, _accuracy_sweep_impl, _budget_sweep_impl
+from ..experiments.figures import SweepResult, _accuracy_sweep, _budget_sweep
 
 __all__ = ["FigureSpec", "FIGURE_SPECS", "figure_spec", "run_figure"]
 
@@ -41,8 +37,8 @@ class FigureSpec:
     parameter:
         The swept Table-2 parameter.
     values:
-        Default sweep values (overridable per call where the legacy driver
-        allowed it — the cardinality figures' ``rates``).
+        Default sweep values (overridable per call on the non-budget
+        figures, e.g. the cardinality figures' sampling rates).
     fixed_task:
         ``None`` when the caller chooses the panel task; ``"logistic"``
         for the timing figures ("we only report the results for logistic
@@ -107,9 +103,9 @@ def run_figure(
     ``task`` is required unless the spec pins it; ``values`` overrides the
     spec's sweep values (cardinality figures only — the budget figures'
     epsilon grid is part of their identity); ``engine`` selects the
-    one-pass FM fast path on budget figures (default on, as the legacy
-    drivers had it); ``shards`` parallelizes the FM series' statistics
-    pass on budget figures (ignored elsewhere — the caller warns).
+    one-pass FM fast path on budget figures (default on); ``shards``
+    parallelizes the FM series' statistics pass on budget figures
+    (ignored elsewhere — the caller warns).
     """
     spec = figure_spec(name)
     if spec.fixed_task is not None:
@@ -122,7 +118,7 @@ def run_figure(
                 f"{name} sweeps the fixed Table-2 budget grid; "
                 "custom values are not supported"
             )
-        return _budget_sweep_impl(
+        return _budget_sweep(
             dataset,
             task,
             spec.name,
@@ -138,7 +134,7 @@ def run_figure(
         )
     if engine is not None:
         raise ExperimentError(f"{name} has no FM budget-sweep path; drop engine=")
-    return _accuracy_sweep_impl(
+    return _accuracy_sweep(
         dataset,
         task,
         spec.parameter,

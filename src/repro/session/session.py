@@ -1,25 +1,24 @@
 """The `Session` facade: process state + an `ExecutionPolicy`, one object.
 
-A Session is what the free functions of :mod:`repro.experiments` never
-had: a place for state that should outlive a single call.
+A Session is the one way into the Section-7 protocol, and the place for
+state that should outlive a single call:
 
 * a persistent :class:`~repro.runtime.PreparedDataCache` — prepared
   arrays and fold-level moment blocks reuse across *calls*, not just
   across the algorithms of one panel (bit-exactly: the cache only ever
   shares identical values);
-* a lazily created, **reusable executor pool** — the legacy path spun a
-  fresh thread/process pool up inside every ``run_plan`` call; a Session
-  holds one :class:`~repro.runtime.PooledThreadExecutor` /
-  :class:`~repro.runtime.PooledProcessExecutor` and reuses it until
+* a lazily created, **reusable executor pool** — one
+  :class:`~repro.runtime.PooledThreadExecutor` /
+  :class:`~repro.runtime.PooledProcessExecutor` held until
   :meth:`Session.close`;
 * a dataset registry — :meth:`Session.dataset` loads and caches the
   census tables at the policy's scale.
 
 Every entry point reads its execution knobs from the session's frozen
-:class:`~repro.session.ExecutionPolicy` instead of a threaded kwarg blob;
-protocol-level arguments (which algorithm, which dataset, which epsilon)
-stay per-call.  Results are bitwise identical to the legacy free
-functions at every policy — asserted by ``tests/session/``.
+:class:`~repro.session.ExecutionPolicy`; protocol-level arguments (which
+algorithm, which dataset, which epsilon) stay per-call.  Scores are
+bitwise identical at every policy and across the cache and pool
+lifecycles — asserted by ``tests/session/`` and the golden matrix.
 
 Usage::
 
@@ -50,21 +49,19 @@ from ..exceptions import ExperimentError
 from ..faults import RetryPolicy, make_injector, use_injector
 from ..obs import make_recorder, use_recorder
 from ..experiments.config import DEFAULT_DIMENSIONALITY, ScalePreset
-from ..experiments.figures import SweepResult, _accuracy_sweep_impl
+from ..experiments.figures import SweepResult, _accuracy_sweep
 from ..experiments.harness import (
     EvaluationResult,
-    _evaluate_algorithm_impl,
-    _evaluate_algorithms_impl,
-    _evaluate_fm_budget_sweep_impl,
+    _evaluate_algorithm,
+    _evaluate_algorithms,
+    _evaluate_fm_budget_sweep,
 )
 from ..runtime import (
     CellExecutor,
     PooledProcessExecutor,
     PooledThreadExecutor,
     PreparedDataCache,
-    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
 )
 from .policy import ExecutionPolicy
 from .registry import run_figure
@@ -86,28 +83,18 @@ class Session:
         The execution policy; ``None`` resolves one from the environment
         (``REPRO_*`` variables / ``REPRO_POLICY_FILE``) over the class
         defaults.
-    reuse_pool:
-        With ``True`` (default) the session holds one persistent
-        thread/process pool across calls.  ``False`` restores the legacy
-        one-shot lifecycle — a fresh pool per ``run_plan`` call, which
-        for processes also restores fork-time copy-on-write sharing; the
-        compatibility shims use this so deprecated entry points execute
-        exactly as before.
     **overrides:
         Policy fields to :meth:`~ExecutionPolicy.derive` over ``policy``
         (``Session(executor="thread", tile_size=1)`` is shorthand).
+
+    Every entry point also takes ``executor=``: a
+    :class:`~repro.runtime.CellExecutor` instance (or kind name) used for
+    that call instead of the session's held pool.
     """
 
-    def __init__(
-        self,
-        policy: ExecutionPolicy | None = None,
-        *,
-        reuse_pool: bool = True,
-        **overrides,
-    ) -> None:
+    def __init__(self, policy: ExecutionPolicy | None = None, **overrides) -> None:
         base = ExecutionPolicy.resolve() if policy is None else policy
         self.policy = base.derive(**overrides) if overrides else base
-        self._reuse_pool = bool(reuse_pool)
         self._prepared_cache = PreparedDataCache()
         self._executor: CellExecutor | None = None
         self._datasets: dict[tuple[str, int | None], CensusDataset] = {}
@@ -166,16 +153,14 @@ class Session:
             if kind == "serial":
                 self._executor = SerialExecutor()
             elif kind == "thread":
-                cls = PooledThreadExecutor if self._reuse_pool else ThreadExecutor
-                self._executor = cls(workers)
+                self._executor = PooledThreadExecutor(workers)
             else:
                 retry = RetryPolicy(
                     max_retries=self.policy.max_retries,
                     tile_timeout=self.policy.tile_timeout,
                     failure_mode=self.policy.failure_mode,
                 )
-                cls = PooledProcessExecutor if self._reuse_pool else ProcessExecutor
-                self._executor = cls(workers, retry=retry)
+                self._executor = PooledProcessExecutor(workers, retry=retry)
         return self._executor
 
     def dataset(
@@ -325,14 +310,13 @@ class Session:
     ) -> EvaluationResult:
         """Run the repeated-CV protocol for one algorithm at one point.
 
-        The session equivalent of the legacy ``evaluate_algorithm``:
-        execution comes from the policy (and the session's cache/pool),
+        Execution comes from the policy (and the session's cache/pool);
         protocol arguments stay per-call with policy-backed defaults.
         """
         with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.evaluate", algorithm=algorithm, task=task
         ):
-            return _evaluate_algorithm_impl(
+            return _evaluate_algorithm(
                 algorithm,
                 dataset,
                 task,
@@ -364,7 +348,7 @@ class Session:
         with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.evaluate_panel", algorithms=list(algorithms), task=task
         ):
-            return _evaluate_algorithms_impl(
+            return _evaluate_algorithms(
                 algorithms,
                 dataset,
                 task,
@@ -397,13 +381,12 @@ class Session:
 
         ``runtime`` overrides the policy for this call (budget sweeps
         understand ``"auto"`` and ``"engine"`` beyond the point modes);
-        ``policy.shards > 1`` requires an engine-capable runtime, exactly
-        as the legacy signature did.
+        ``policy.shards > 1`` requires an engine-capable runtime.
         """
         with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.budget_sweep", task=task, points=len(epsilons)
         ):
-            return _evaluate_fm_budget_sweep_impl(
+            return _evaluate_fm_budget_sweep(
                 dataset,
                 task,
                 dims,
@@ -443,7 +426,7 @@ class Session:
         with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.sweep", parameter=parameter, figure=figure
         ):
-            return _accuracy_sweep_impl(
+            return _accuracy_sweep(
                 dataset,
                 task,
                 parameter,
@@ -473,8 +456,7 @@ class Session:
     ) -> SweepResult:
         """Run one registered sweep figure (figures 4-9) under the policy.
 
-        Dispatches through :mod:`repro.session.registry` — the single
-        driver path the per-figure functions used to duplicate.  On the
+        Dispatches through :mod:`repro.session.registry`.  On the
         budget figures (6, 9) ``policy.shards`` parallelizes the FM
         series' statistics pass; elsewhere inapplicable policy fields
         trigger a :class:`UserWarning` when set.

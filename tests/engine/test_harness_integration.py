@@ -5,9 +5,8 @@ import pytest
 
 from repro.data.census import load_us
 from repro.experiments.config import PRIVACY_BUDGETS, SMOKE
-from repro.experiments.figures import figure6_privacy_budget, figure9_time_budget
-from repro.experiments.harness import evaluate_algorithm, evaluate_fm_budget_sweep
 from repro.exceptions import ExperimentError
+from repro.session import ExecutionPolicy, Session
 
 
 @pytest.fixture(scope="module")
@@ -15,11 +14,15 @@ def us():
     return load_us(6000)
 
 
+def _budget_sweep(us, dims, epsilons, policy=None, **kwargs):
+    """One FM budget sweep in a fresh session."""
+    with Session(policy or ExecutionPolicy()) as session:
+        return session.budget_sweep(us, "linear", dims, epsilons, preset=SMOKE, **kwargs)
+
+
 class TestEvaluateFmBudgetSweep:
     def test_returns_result_per_epsilon(self, us):
-        results = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(0.4, 0.8, 3.2), preset=SMOKE, seed=0
-        )
+        results = _budget_sweep(us, 5, (0.4, 0.8, 3.2), seed=0)
         assert set(results) == {0.4, 0.8, 3.2}
         for result in results.values():
             assert result.algorithm == "FM"
@@ -28,28 +31,20 @@ class TestEvaluateFmBudgetSweep:
             assert result.n_train > 0
 
     def test_seeded_reproducibility(self, us):
-        a = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8, 3.2), preset=SMOKE, seed=3
-        )
-        b = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8, 3.2), preset=SMOKE, seed=3
-        )
+        a = _budget_sweep(us, 5, (0.8, 3.2), seed=3)
+        b = _budget_sweep(us, 5, (0.8, 3.2), seed=3)
         assert a[0.8].mean_score == b[0.8].mean_score
         assert a[3.2].mean_score == b[3.2].mean_score
 
     def test_accuracy_improves_with_budget(self, us):
-        results = evaluate_fm_budget_sweep(
-            us, "linear", dims=14, epsilons=PRIVACY_BUDGETS, preset=SMOKE, seed=6
-        )
+        results = _budget_sweep(us, 14, PRIVACY_BUDGETS, seed=6)
         assert results[3.2].mean_score < results[0.1].mean_score
 
     def test_statistically_consistent_with_loop_path(self, us):
         """Engine and loop are the same mechanism — scores must be comparable."""
         epsilon = 3.2
-        engine_result = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(epsilon,), preset=SMOKE, seed=0
-        )[epsilon]
-        loop_result = evaluate_algorithm(
+        engine_result = _budget_sweep(us, 5, (epsilon,), seed=0)[epsilon]
+        loop_result = Session(ExecutionPolicy()).evaluate(
             "FM", us, "linear", dims=5, epsilon=epsilon, preset=SMOKE, seed=0
         )
         # Independent noise draws, identical distribution: same order of
@@ -58,50 +53,53 @@ class TestEvaluateFmBudgetSweep:
         assert loop_result.mean_score < 10 * max(engine_result.mean_score, 1e-3)
 
     def test_logistic_task(self, us):
-        results = evaluate_fm_budget_sweep(
-            us, "logistic", dims=5, epsilons=(0.8, 3.2), preset=SMOKE, seed=0
-        )
+        with Session(ExecutionPolicy()) as session:
+            results = session.budget_sweep(
+                us, "logistic", dims=5, epsilons=(0.8, 3.2), preset=SMOKE, seed=0
+            )
         for result in results.values():
             assert 0.0 <= result.mean_score <= 1.0
 
     def test_sharded_accumulation_path(self, us):
-        results = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=0, shards=4
+        results = _budget_sweep(
+            us, 5, (0.8,), ExecutionPolicy(runtime="auto", shards=4), seed=0
         )
         assert results[0.8].cells == SMOKE.folds * SMOKE.repetitions
 
     def test_invalid_args(self, us):
         with pytest.raises(ExperimentError):
-            evaluate_fm_budget_sweep(
-                us, "linear", dims=5, epsilons=(), preset=SMOKE
-            )
+            _budget_sweep(us, 5, ())
         with pytest.raises(ExperimentError):
-            evaluate_fm_budget_sweep(
-                us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, sampling_rate=0.0
-            )
+            _budget_sweep(us, 5, (0.8,), sampling_rate=0.0)
+
+
+def _figure(name, us, *args, **kwargs):
+    """One registered figure in a fresh session at the smoke preset."""
+    with Session(ExecutionPolicy()) as session:
+        return session.figure(name, us, *args, preset=SMOKE, **kwargs)
 
 
 class TestFigureDriversUseEngine:
     def test_figure6_engine_and_loop_paths_agree_structurally(self, us):
-        fast = figure6_privacy_budget(us, "linear", preset=SMOKE, engine=True)
-        slow = figure6_privacy_budget(us, "linear", preset=SMOKE, engine=False)
+        fast = _figure("figure6", us, "linear", seed=6, engine=True)
+        slow = _figure("figure6", us, "linear", seed=6, engine=False)
         assert fast.values == slow.values
         assert list(fast.series) == list(slow.series)  # legend order preserved
         assert all(len(v) == len(fast.values) for v in fast.series.values())
 
     def test_figure6_fm_series_from_engine_is_sane(self, us):
-        result = figure6_privacy_budget(us, "linear", preset=SMOKE)
+        result = _figure("figure6", us, "linear", seed=6)
         fm = dict(zip(result.values, result.metric_series("FM")))
         assert fm[3.2] < fm[0.1]
 
     def test_figure9_times_positive(self, us):
-        result = figure9_time_budget(us, preset=SMOKE)
+        result = _figure("figure9", us, seed=9)
         assert all(t > 0 for t in result.time_series("FM"))
 
     def test_engine_budget_sweep_is_faster_per_epsilon(self, us):
         """The engine's per-epsilon cost excludes repeated data passes."""
-        engine_fig = figure6_privacy_budget(us, "linear", preset=SMOKE, engine=True)
-        loop_fig = figure6_privacy_budget(us, "linear", preset=SMOKE, engine=False)
+        engine_fig = _figure("figure6", us, "linear", seed=6, engine=True)
+        loop_fig = _figure("figure6", us, "linear", seed=6, engine=False)
         engine_time = sum(engine_fig.time_series("FM"))
         loop_time = sum(loop_fig.time_series("FM"))
         # Generous bound: the engine must not be slower in aggregate (it

@@ -8,19 +8,21 @@ from repro.experiments.config import SMOKE
 from repro.experiments.figures import (
     FIGURE2_DATABASE,
     FIGURE3_DATABASE,
-    accuracy_sweep,
     figure2_objective_example,
     figure3_approximation_example,
-    figure4_dimensionality,
-    figure5_cardinality,
-    figure6_privacy_budget,
-    figure7_time_dimensionality,
 )
+from repro.session import ExecutionPolicy, Session
 
 
 @pytest.fixture(scope="module")
 def us():
     return load_us(6000)
+
+
+@pytest.fixture
+def session():
+    with Session(ExecutionPolicy()) as s:
+        yield s
 
 
 class TestFigure2:
@@ -74,23 +76,25 @@ class TestFigure3:
 
 
 class TestSweeps:
-    def test_figure4_structure(self, us):
-        result = figure4_dimensionality(us, "linear", preset=SMOKE)
+    def test_figure4_structure(self, us, session):
+        result = session.figure("figure4", us, "linear", preset=SMOKE, seed=4)
         assert result.values == (5, 8, 11, 14)
         assert set(result.series) == {"FM", "DPME", "FP", "NoPrivacy"}
         assert len(result.metric_series("FM")) == 4
 
-    def test_figure4_logistic_includes_truncated(self, us):
-        result = figure4_dimensionality(us, "logistic", preset=SMOKE)
+    def test_figure4_logistic_includes_truncated(self, us, session):
+        result = session.figure("figure4", us, "logistic", preset=SMOKE, seed=4)
         assert "Truncated" in result.series
 
-    def test_figure5_values_are_rates(self, us):
-        result = figure5_cardinality(us, "linear", preset=SMOKE, rates=(0.5, 1.0))
+    def test_figure5_values_are_rates(self, us, session):
+        result = session.figure(
+            "figure5", us, "linear", preset=SMOKE, seed=5, values=(0.5, 1.0)
+        )
         assert result.values == (0.5, 1.0)
         assert result.series["NoPrivacy"][0].n_train < result.series["NoPrivacy"][1].n_train
 
-    def test_figure6_noprivacy_flat(self, us):
-        result = figure6_privacy_budget(us, "linear", preset=SMOKE)
+    def test_figure6_noprivacy_flat(self, us, session):
+        result = session.figure("figure6", us, "linear", preset=SMOKE, seed=6)
         series = result.metric_series("NoPrivacy")
         # NoPrivacy ignores epsilon: identical data + seeds per sweep point
         # still vary by fold shuffling, but the spread must be tiny compared
@@ -98,19 +102,19 @@ class TestSweeps:
         fm = result.metric_series("FM")
         assert np.std(series) < np.std(fm) + 1e-9
 
-    def test_figure6_fm_improves_with_budget(self, us):
-        result = figure6_privacy_budget(us, "linear", preset=SMOKE)
+    def test_figure6_fm_improves_with_budget(self, us, session):
+        result = session.figure("figure6", us, "linear", preset=SMOKE, seed=6)
         fm = dict(zip(result.values, result.metric_series("FM")))
         assert fm[3.2] < fm[0.1]
 
-    def test_timing_views(self, us):
-        result = figure7_time_dimensionality(us, preset=SMOKE)
+    def test_timing_views(self, us, session):
+        result = session.figure("figure7", us, preset=SMOKE, seed=7)
         assert result.task == "logistic"
         times = result.time_series("FM")
         assert all(t > 0 for t in times)
 
-    def test_panel_naming(self, us):
-        result = accuracy_sweep(
+    def test_panel_naming(self, us, session):
+        result = session.sweep(
             us, "linear", "epsilon", (0.8,), figure="figure6", preset=SMOKE
         )
         assert result.panel == "US-Linear"

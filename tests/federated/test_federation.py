@@ -15,6 +15,7 @@ The acceptance criteria this suite pins:
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +170,18 @@ class TestPartyMode:
         assert result.digest != baseline.digest
         # Noisier, but the same problem: coefficients stay in a sane ball.
         assert float(np.abs(result.coefficients - baseline.coefficients).max()) < 2.0
+
+
+class TestEnvelopeFiles:
+    def test_missing_out_dir_is_created(self, tmp_path):
+        X, y = _rows()
+        out_dir = tmp_path / "a" / "b"
+        paths = run_parties(_spec(2), X, y, out_dir=str(out_dir))
+        assert paths == [str(out_dir / f"party-{k}.fenv") for k in range(2)]
+        coordinator = FederatedCoordinator(_spec(2))
+        for path in paths:
+            coordinator.submit(Path(path).read_bytes())
+        assert coordinator.fit().digest == centralized_fit(_spec(2), X, y).digest
 
 
 class TestPartyBudgets:

@@ -18,15 +18,18 @@ from repro.core.objectives import LinearRegressionObjective
 from repro.core.polynomial import QuadraticForm
 from repro.data.census import load_us
 from repro.experiments.config import SMOKE
-from repro.experiments.figures import figure4_dimensionality
-from repro.experiments.harness import evaluate_algorithm
+from repro.session import ExecutionPolicy, Session
 
 
 class TestSeededDeterminism:
     def test_sweep_bit_identical(self):
         us = load_us(5000)
-        a = figure4_dimensionality(us, "linear", preset=SMOKE, seed=7)
-        b = figure4_dimensionality(us, "linear", preset=SMOKE, seed=7)
+        a, b = (
+            Session(ExecutionPolicy()).figure(
+                "figure4", us, "linear", preset=SMOKE, seed=7
+            )
+            for _ in range(2)
+        )
         for name in a.series:
             assert [r.mean_score for r in a.series[name]] == [
                 r.mean_score for r in b.series[name]
@@ -37,14 +40,15 @@ class TestSeededDeterminism:
         # substreams are keyed by (algorithm, repetition, fold), not by
         # execution order.
         us = load_us(5000)
-        alone = evaluate_algorithm(
+        session = Session(ExecutionPolicy())
+        alone = session.evaluate(
             "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=11
         )
         for other in ("NoPrivacy", "DPME"):
-            evaluate_algorithm(
+            session.evaluate(
                 other, us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=11
             )
-        again = evaluate_algorithm(
+        again = session.evaluate(
             "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=11
         )
         assert alone.mean_score == again.mean_score

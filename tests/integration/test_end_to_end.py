@@ -5,8 +5,7 @@ import pytest
 
 from repro.baselines import make_algorithm
 from repro.data import load_brazil, load_us
-from repro.experiments import SMOKE, figure4_dimensionality, summarize_ordering
-from repro.experiments.harness import evaluate_algorithm
+from repro.session import ExecutionPolicy, Session
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +46,12 @@ class TestFullPipeline:
     def test_fm_tracks_noprivacy_at_scale(self, us):
         """FM approaches the NoPrivacy floor on linear regression when n is
         large — the core accuracy claim of Figures 4-5."""
-        lin = evaluate_algorithm(
+        session = Session(ExecutionPolicy())
+        lin = session.evaluate(
             "NoPrivacy", us, "linear", dims=8, epsilon=0.8,
             preset=_preset(40_000), seed=0,
         )
-        fm = evaluate_algorithm(
+        fm = session.evaluate(
             "FM", us, "linear", dims=8, epsilon=0.8,
             preset=_preset(40_000), seed=0,
         )
@@ -59,11 +59,12 @@ class TestFullPipeline:
 
     def test_truncated_tracks_noprivacy_logistic(self, us):
         """Figure 4c-d: Truncated ~ NoPrivacy (the truncation is cheap)."""
-        base = evaluate_algorithm(
+        session = Session(ExecutionPolicy())
+        base = session.evaluate(
             "NoPrivacy", us, "logistic", dims=8, epsilon=0.8,
             preset=_preset(20_000), seed=0,
         )
-        trunc = evaluate_algorithm(
+        trunc = session.evaluate(
             "Truncated", us, "logistic", dims=8, epsilon=0.8,
             preset=_preset(20_000), seed=0,
         )
@@ -84,10 +85,11 @@ class TestPaperOrderings:
     def test_linear_figure4_orderings(self):
         us = load_us(150_000)
         preset = _preset(150_000)
+        session = Session(ExecutionPolicy())
         scores = {}
         for name in ("NoPrivacy", "FM", "DPME", "FP"):
             scores[name] = np.mean([
-                evaluate_algorithm(
+                session.evaluate(
                     name, us, "linear", dims=dims, epsilon=0.8,
                     preset=preset, seed=dims,
                 ).mean_score

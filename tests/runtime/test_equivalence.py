@@ -13,14 +13,16 @@ import pytest
 from repro.baselines.base import make_algorithm
 from repro.exceptions import DomainError
 from repro.experiments.config import SMOKE
-from repro.experiments.harness import (
-    _algorithm_stream_key,
-    evaluate_algorithm,
-    evaluate_fm_budget_sweep,
-)
 from repro.privacy.rng import derive_substream
 from repro.regression.preprocessing import KFold
-from repro.runtime import CellPlan, PlannedFold, plan_cells, run_plan
+from repro.runtime import (
+    CellPlan,
+    PlannedFold,
+    algorithm_stream_key,
+    plan_cells,
+    run_plan,
+)
+from repro.session import ExecutionPolicy, Session
 
 EPSILONS = (0.1, 0.8, 3.2)
 
@@ -96,7 +98,7 @@ class TestBatchedEqualsPercell:
         fold = PlannedFold(
             rep=0, fold=0, X=X, y=y,
             train_idx=np.arange(40), test_idx=np.arange(40, 60),
-            stream_tag=(_algorithm_stream_key("FM"), 0, 0),
+            stream_tag=(algorithm_stream_key("FM"), 0, 0),
         )
         plan = CellPlan(
             algorithm="FM", task="linear", dims=3, dim=3, epsilons=(0.8,),
@@ -116,7 +118,7 @@ class TestBatchedEqualsPercell:
 
 
 class TestHarnessBitCompatibility:
-    """evaluate_algorithm must still equal the pre-runtime per-cell loop."""
+    """Session.evaluate must still equal the pre-runtime per-cell loop."""
 
     @staticmethod
     def historical_scores(
@@ -129,7 +131,7 @@ class TestHarnessBitCompatibility:
         either derivation format, so the comparison pins both the v2 default
         and the v1 legacy streams.
         """
-        key = _algorithm_stream_key(algorithm)
+        key = algorithm_stream_key(algorithm)
         base_n = preset.cardinality(dataset.n)
         scores = []
         for rep in range(preset.repetitions):
@@ -173,9 +175,8 @@ class TestHarnessBitCompatibility:
         reference = self.historical_scores(
             algorithm, us, task, 5, 0.8, SMOKE, seed=3, stream_version=stream_version
         )
-        result = evaluate_algorithm(
-            algorithm, us, task, dims=5, epsilon=0.8, preset=SMOKE, seed=3,
-            stream_version=stream_version,
+        result = Session(ExecutionPolicy(stream_version=stream_version)).evaluate(
+            algorithm, us, task, dims=5, epsilon=0.8, preset=SMOKE, seed=3
         )
         assert result.mean_score == float(np.mean(reference))
         assert result.std_score == float(np.std(reference))
@@ -183,27 +184,25 @@ class TestHarnessBitCompatibility:
 
     def test_default_stream_version_is_v2(self, us):
         """The PR-6 flip: an unpinned run derives v2 streams."""
-        default = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3
-        )
-        pinned_v2 = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3,
-            stream_version=2,
-        )
-        pinned_v1 = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3,
-            stream_version=1,
+        default, pinned_v2, pinned_v1 = (
+            Session(policy).evaluate(
+                "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3
+            )
+            for policy in (
+                ExecutionPolicy(),
+                ExecutionPolicy(stream_version=2),
+                ExecutionPolicy(stream_version=1),
+            )
         )
         assert default.mean_score == pinned_v2.mean_score
         assert default.mean_score != pinned_v1.mean_score
 
     def test_runtime_modes_agree_end_to_end(self, us):
-        a = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9
-        )
-        b = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
-            runtime="percell",
+        a, b = (
+            Session(ExecutionPolicy(runtime=runtime)).evaluate(
+                "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9
+            )
+            for runtime in ("batched", "percell")
         )
         assert a.mean_score == b.mean_score
         assert a.std_score == b.std_score
@@ -211,23 +210,21 @@ class TestHarnessBitCompatibility:
 
 class TestBudgetSweepEquivalence:
     def test_batched_equals_percell(self, us):
-        batched = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4
-        )
-        percell = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4,
-            runtime="percell",
+        batched, percell = (
+            Session(ExecutionPolicy(runtime=runtime)).budget_sweep(
+                us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4
+            )
+            for runtime in ("auto", "percell")
         )
         for epsilon in EPSILONS:
             assert batched[epsilon].mean_score == percell[epsilon].mean_score
 
     def test_engine_path_still_available(self, us):
-        engine = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4,
-            runtime="engine",
-        )
-        batched = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4
+        engine, batched = (
+            Session(ExecutionPolicy(runtime=runtime)).budget_sweep(
+                us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4
+            )
+            for runtime in ("engine", "auto")
         )
         # Same protocol and noise stream; the engine aggregates through the
         # block-wise accumulator, so agreement is to accumulation accuracy.
@@ -236,7 +233,7 @@ class TestBudgetSweepEquivalence:
         )
 
     def test_shards_imply_engine_path(self, us):
-        result = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=0, shards=4
+        result = Session(ExecutionPolicy(runtime="auto", shards=4)).budget_sweep(
+            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=0
         )
         assert result[0.8].cells == SMOKE.folds * SMOKE.repetitions

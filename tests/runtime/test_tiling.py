@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ExperimentError
 from repro.experiments.config import SMOKE, ScalePreset
-from repro.experiments.harness import evaluate_algorithm, evaluate_algorithms
 from repro.privacy.rng import derive_substream
 from repro.runtime import (
     PreparedDataCache,
@@ -24,6 +23,7 @@ from repro.runtime import (
     run_plan,
     run_plan_group,
 )
+from repro.session import ExecutionPolicy, Session
 
 EPSILONS = (0.1, 0.8, 3.2)
 
@@ -141,12 +141,11 @@ class TestTileInvariance:
             )
 
     def test_harness_tile_size_plumbing(self, us):
-        eager = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9
-        )
-        tiled = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
-            tile_size=1,
+        eager, tiled = (
+            Session(ExecutionPolicy(tile_size=tile_size)).evaluate(
+                "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9
+            )
+            for tile_size in (None, 1)
         )
         assert tiled.mean_score == eager.mean_score
         assert tiled.std_score == eager.std_score
@@ -187,12 +186,12 @@ class TestGroupedExecution:
             assert outcome.scores == solo.scores, name
 
     def test_evaluate_algorithms_equals_per_name_calls(self, us):
-        panel = evaluate_algorithms(
+        panel = Session(ExecutionPolicy()).evaluate_panel(
             ["FM", "NoPrivacy", "Truncated"], us, "linear", dims=5, epsilon=0.8,
             preset=SMOKE, seed=3,
         )
         for name, result in panel.items():
-            solo = evaluate_algorithm(
+            solo = Session(ExecutionPolicy()).evaluate(
                 name, us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3
             )
             assert result.mean_score == solo.mean_score, name
@@ -200,13 +199,12 @@ class TestGroupedExecution:
             assert result.cells == solo.cells, name
 
     def test_evaluate_algorithms_tiled_equals_eager(self, us):
-        eager = evaluate_algorithms(
-            ["FM", "NoPrivacy"], us, "linear", dims=5, epsilon=0.8,
-            preset=SMOKE, seed=7,
-        )
-        tiled = evaluate_algorithms(
-            ["FM", "NoPrivacy"], us, "linear", dims=5, epsilon=0.8,
-            preset=SMOKE, seed=7, tile_size=1,
+        eager, tiled = (
+            Session(ExecutionPolicy(tile_size=tile_size)).evaluate_panel(
+                ["FM", "NoPrivacy"], us, "linear", dims=5, epsilon=0.8,
+                preset=SMOKE, seed=7,
+            )
+            for tile_size in (None, 1)
         )
         for name in eager:
             assert tiled[name].mean_score == eager[name].mean_score, name

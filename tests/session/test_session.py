@@ -8,9 +8,7 @@ from repro.exceptions import ExperimentError
 from repro.runtime import (
     PooledProcessExecutor,
     PooledThreadExecutor,
-    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
 )
 from repro.session import ExecutionPolicy, Session, figure_spec
 
@@ -47,16 +45,6 @@ class TestExecutorOwnership:
         assert isinstance(
             Session(ExecutionPolicy(executor="process")).executor(),
             PooledProcessExecutor,
-        )
-
-    def test_one_shot_sessions_use_legacy_lifecycle(self):
-        assert isinstance(
-            Session(ExecutionPolicy(executor="thread"), reuse_pool=False).executor(),
-            ThreadExecutor,
-        )
-        assert isinstance(
-            Session(ExecutionPolicy(executor="process"), reuse_pool=False).executor(),
-            ProcessExecutor,
         )
 
     def test_max_workers_threads_through(self):

@@ -1,33 +1,29 @@
-"""Legacy kwarg entry points == Session entry points, bitwise.
+"""Session state and dispatch never change a score, bitwise.
 
-The compatibility contract of the session API: every deprecated free
-function builds a one-shot Session from its kwargs and must therefore
-produce **bitwise-identical** scores to calling the Session directly —
-at both stream versions, under every executor kind, with and without
-tiling.  Wall-clock fields (``mean_fit_seconds``) are measurements, not
-results, and are excluded from comparison.
+A Session holds a persistent prepared-data cache and executor pool across
+calls; neither may move a result.  Every entry point run in a *warm*
+session (cache populated by an identical earlier call) must equal the same
+call in a fresh session — at both stream versions — and a session-held
+pool must equal a per-call executor instance.  ``Session.figure`` must
+equal :func:`repro.session.run_figure` given the policy's fields
+explicitly.  Wall-clock fields (``mean_fit_seconds``) are measurements,
+not results, and are excluded from comparison.
 """
-
-import warnings
 
 import pytest
 
 from repro.experiments.config import ScalePreset
-from repro.experiments.figures import (
-    accuracy_sweep,
-    figure4_dimensionality,
-    figure5_cardinality,
-    figure6_privacy_budget,
-    figure7_time_dimensionality,
-    figure8_time_cardinality,
-    figure9_time_budget,
+from repro.runtime import ProcessExecutor, ThreadExecutor
+from repro.session import (
+    DEFAULT_STREAM_VERSION,
+    ExecutionPolicy,
+    Session,
+    run_figure,
 )
-from repro.experiments.harness import (
-    evaluate_algorithm,
-    evaluate_algorithms,
-    evaluate_fm_budget_sweep,
-)
-from repro.session import ExecutionPolicy, Session
+
+#: No subsampling, so every call's prepared arrays land in (and are then
+#: served from) the session cache.
+IDENTITY = ScalePreset(name="tiny-identity", max_records=None, folds=3, repetitions=2)
 
 
 def _scores(result):
@@ -57,167 +53,112 @@ def _sweep_scores(sweep):
     )
 
 
-def _silently(fn, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kwargs)
+def _warm_and_fresh(policy, call):
+    """``call(session)`` in a session that already ran it, and in a new one."""
+    with Session(policy) as warm:
+        call(warm)
+        again = call(warm)
+    with Session(policy) as fresh:
+        return again, call(fresh)
 
 
 @pytest.mark.parametrize("stream_version", [1, 2])
 class TestBitwiseEquivalence:
-    def test_evaluate_algorithm(self, tiny_dataset, tiny_preset, stream_version):
-        legacy = _silently(
-            evaluate_algorithm,
-            "FM", tiny_dataset, "linear", 5, 1.0,
-            preset=tiny_preset, seed=11, stream_version=stream_version,
+    def test_evaluate_algorithm(self, tiny_dataset, stream_version):
+        warm, fresh = _warm_and_fresh(
+            ExecutionPolicy(stream_version=stream_version, seed=11),
+            lambda s: s.evaluate("FM", tiny_dataset, "linear", 5, 1.0, preset=IDENTITY),
         )
-        session = Session(ExecutionPolicy(stream_version=stream_version, seed=11))
-        assert _scores(
-            session.evaluate("FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset)
-        ) == _scores(legacy)
+        assert _scores(warm) == _scores(fresh)
 
-    def test_evaluate_algorithms(self, tiny_dataset, tiny_preset, stream_version):
+    def test_evaluate_algorithms(self, tiny_dataset, stream_version):
         names = ["FM", "DPME", "NoPrivacy"]
-        legacy = _silently(
-            evaluate_algorithms,
-            names, tiny_dataset, "linear", 5, 0.8,
-            preset=tiny_preset, seed=3, stream_version=stream_version,
+        warm, fresh = _warm_and_fresh(
+            ExecutionPolicy(stream_version=stream_version),
+            lambda s: s.evaluate_panel(
+                names, tiny_dataset, "linear", 5, 0.8, preset=IDENTITY, seed=3
+            ),
         )
-        panel = Session(
-            ExecutionPolicy(stream_version=stream_version)
-        ).evaluate_panel(names, tiny_dataset, "linear", 5, 0.8,
-                         preset=tiny_preset, seed=3)
-        assert {k: _scores(v) for k, v in panel.items()} == {
-            k: _scores(v) for k, v in legacy.items()
+        assert {k: _scores(v) for k, v in warm.items()} == {
+            k: _scores(v) for k, v in fresh.items()
         }
 
     @pytest.mark.parametrize("runtime", ["auto", "engine"])
-    def test_evaluate_fm_budget_sweep(
-        self, tiny_dataset, tiny_preset, stream_version, runtime
-    ):
-        legacy = _silently(
-            evaluate_fm_budget_sweep,
-            tiny_dataset, "linear", 5, [0.5, 2.0],
-            preset=tiny_preset, seed=5, runtime=runtime,
-            stream_version=stream_version,
+    def test_evaluate_fm_budget_sweep(self, tiny_dataset, stream_version, runtime):
+        warm, fresh = _warm_and_fresh(
+            ExecutionPolicy(runtime=runtime, stream_version=stream_version),
+            lambda s: s.budget_sweep(
+                tiny_dataset, "linear", 5, [0.5, 2.0], preset=IDENTITY, seed=5
+            ),
         )
-        sweep = Session(
-            ExecutionPolicy(runtime=runtime, stream_version=stream_version)
-        ).budget_sweep(tiny_dataset, "linear", 5, [0.5, 2.0],
-                       preset=tiny_preset, seed=5)
-        assert {e: _scores(r) for e, r in sweep.items()} == {
-            e: _scores(r) for e, r in legacy.items()
+        assert {e: _scores(r) for e, r in warm.items()} == {
+            e: _scores(r) for e, r in fresh.items()
         }
 
-    def test_accuracy_sweep(self, tiny_dataset, tiny_preset, stream_version):
-        legacy = _silently(
-            accuracy_sweep,
-            tiny_dataset, "linear", "dimensionality", (5, 8), "figure4",
-            preset=tiny_preset, seed=2, stream_version=stream_version,
+    def test_accuracy_sweep(self, tiny_dataset, stream_version):
+        warm, fresh = _warm_and_fresh(
+            ExecutionPolicy(stream_version=stream_version),
+            lambda s: s.sweep(
+                tiny_dataset, "linear", "dimensionality", (5, 8), "figure4",
+                preset=IDENTITY, seed=2,
+            ),
         )
-        sweep = Session(ExecutionPolicy(stream_version=stream_version)).sweep(
-            tiny_dataset, "linear", "dimensionality", (5, 8), "figure4",
-            preset=tiny_preset, seed=2,
-        )
-        assert _sweep_scores(sweep) == _sweep_scores(legacy)
+        assert _sweep_scores(warm) == _sweep_scores(fresh)
 
 
 class TestExecutorAndTilingEquivalence:
-    """Session-held pooled executors match the legacy one-shot executors."""
+    """Session-held pooled executors match per-call executor instances."""
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_pooled_executor_matches_legacy(
         self, tiny_dataset, tiny_preset, executor
     ):
-        legacy = _silently(
-            evaluate_algorithm,
-            "FM", tiny_dataset, "linear", 5, 1.0,
-            preset=tiny_preset, seed=4, executor=executor, tile_size=1,
-        )
+        per_call = {"thread": ThreadExecutor, "process": ProcessExecutor}[executor]
         policy = ExecutionPolicy(executor=executor, tile_size=1, max_workers=2)
+        one_shot = Session(policy).evaluate(
+            "FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset, seed=4,
+            executor=per_call(max_workers=2),
+        )
         with Session(policy) as session:
             pooled = session.evaluate(
                 "FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset, seed=4
             )
-        assert _scores(pooled) == _scores(legacy)
+        assert _scores(pooled) == _scores(one_shot)
 
     def test_percell_generic_through_pool(self, tiny_dataset, tiny_preset):
-        legacy = _silently(
-            evaluate_algorithm,
-            "DPME", tiny_dataset, "linear", 5, 1.0,
-            preset=tiny_preset, seed=8, runtime="percell",
-        )
         policy = ExecutionPolicy(runtime="percell", executor="process", max_workers=2)
+        one_shot = Session(policy).evaluate(
+            "DPME", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset, seed=8,
+            executor=ProcessExecutor(max_workers=2),
+        )
         with Session(policy) as session:
             pooled = session.evaluate(
                 "DPME", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset, seed=8
             )
-        assert _scores(pooled) == _scores(legacy)
+        assert _scores(pooled) == _scores(one_shot)
 
 
-class TestFigureShims:
-    """Each driver shim: warns, and matches Session.figure bitwise."""
+class TestFigureDispatch:
+    """Session.figure == run_figure with the policy's fields spelled out."""
 
     def test_figure_drivers_match_session(self, tiny_dataset):
         preset = ScalePreset(name="micro", max_records=200, folds=2, repetitions=1)
         session = Session(ExecutionPolicy())
         cases = [
-            ("figure4", figure4_dimensionality, dict(task="linear"), {}),
-            (
-                "figure5",
-                figure5_cardinality,
-                dict(task="linear", rates=(0.5, 1.0)),
-                dict(values=(0.5, 1.0)),
-            ),
-            ("figure6", figure6_privacy_budget, dict(task="linear"), {}),
-            ("figure7", figure7_time_dimensionality, {}, {}),
-            (
-                "figure8",
-                figure8_time_cardinality,
-                dict(rates=(1.0,)),
-                dict(values=(1.0,)),
-            ),
-            ("figure9", figure9_time_budget, {}, {}),
+            ("figure4", "linear", None),
+            ("figure5", "linear", (0.5, 1.0)),
+            ("figure6", "linear", None),
+            ("figure7", None, None),
+            ("figure8", None, (1.0,)),
+            ("figure9", None, None),
         ]
-        for name, legacy_fn, legacy_kwargs, session_kwargs in cases:
-            with pytest.deprecated_call(match=legacy_fn.__name__):
-                legacy = legacy_fn(
-                    tiny_dataset, preset=preset, seed=1, **legacy_kwargs
-                )
-            task = legacy_kwargs.get("task")
+        for name, task, values in cases:
+            direct = run_figure(
+                name, tiny_dataset, task, preset=preset, seed=1,
+                runtime="batched", executor="serial", tile_size=None,
+                stream_version=DEFAULT_STREAM_VERSION, values=values,
+            )
             new = session.figure(
-                name, tiny_dataset, task, preset=preset, seed=1, **session_kwargs
+                name, tiny_dataset, task, preset=preset, seed=1, values=values
             )
-            assert _sweep_scores(new) == _sweep_scores(legacy), name
-
-
-class TestDeprecationWarnings:
-    """Every shimmed entry point announces its session equivalent."""
-
-    def test_harness_shims_warn(self, tiny_dataset, tiny_preset):
-        with pytest.deprecated_call(match="evaluate_algorithm"):
-            evaluate_algorithm(
-                "FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset
-            )
-        with pytest.deprecated_call(match="evaluate_algorithms"):
-            evaluate_algorithms(
-                ["FM"], tiny_dataset, "linear", 5, 1.0, preset=tiny_preset
-            )
-        with pytest.deprecated_call(match="evaluate_fm_budget_sweep"):
-            evaluate_fm_budget_sweep(
-                tiny_dataset, "linear", 5, [1.0], preset=tiny_preset
-            )
-
-    def test_sweep_shim_warns(self, tiny_dataset, tiny_preset):
-        with pytest.deprecated_call(match="accuracy_sweep"):
-            accuracy_sweep(
-                tiny_dataset, "linear", "dimensionality", (5,), "figure4",
-                preset=tiny_preset,
-            )
-
-    def test_warning_names_policy_equivalent(self, tiny_dataset, tiny_preset):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            evaluate_algorithm(
-                "FM", tiny_dataset, "linear", 5, 1.0,
-                preset=tiny_preset, executor="thread", tile_size=1,
-            )
+            assert _sweep_scores(new) == _sweep_scores(direct), name

@@ -1,4 +1,4 @@
-"""Import layering: the paper-level packages never reach into the runtime.
+"""Import layering: lower layers never reach up into the layers built on them.
 
 ``repro.core``, ``repro.regression``, ``repro.analysis`` and
 ``repro.baselines`` implement the mechanism, the estimators and the
@@ -6,6 +6,11 @@ baselines with plain numpy; ``repro.runtime`` (planning, stacked kernels,
 executors) is built on top of them.  An import in the other direction —
 even a deferred one inside a function body — would make the per-cell
 reference path depend on the batched runtime it is the oracle for.
+
+Likewise the protocol bodies in ``experiments/harness.py`` and
+``experiments/figures.py`` sit below ``repro.session``, which calls them:
+an import of the session layer from there would reopen a second way into
+the protocol (and an import cycle).
 """
 
 import ast
@@ -17,7 +22,7 @@ import repro
 
 SRC = Path(repro.__file__).resolve().parent
 LOWER_LAYERS = ("core", "regression", "analysis", "baselines")
-FORBIDDEN = "repro.runtime"
+PROTOCOL_BODIES = ("experiments/harness.py", "experiments/figures.py")
 
 
 def _imported_modules(path: Path) -> list[tuple[int, str]]:
@@ -36,12 +41,20 @@ def _imported_modules(path: Path) -> list[tuple[int, str]]:
     return found
 
 
+def _offenders(paths, forbidden: str) -> list[str]:
+    return [
+        f"{path.relative_to(SRC.parent)}:{line} imports {module}"
+        for path in paths
+        for line, module in _imported_modules(path)
+        if module == forbidden or module.startswith(forbidden + ".")
+    ]
+
+
 @pytest.mark.parametrize("layer", LOWER_LAYERS)
 def test_layer_does_not_import_runtime(layer):
-    offenders = [
-        f"{path.relative_to(SRC.parent)}:{line} imports {module}"
-        for path in sorted((SRC / layer).rglob("*.py"))
-        for line, module in _imported_modules(path)
-        if module == FORBIDDEN or module.startswith(FORBIDDEN + ".")
-    ]
-    assert offenders == []
+    assert _offenders(sorted((SRC / layer).rglob("*.py")), "repro.runtime") == []
+
+
+@pytest.mark.parametrize("module", PROTOCOL_BODIES)
+def test_protocol_bodies_do_not_import_session(module):
+    assert _offenders([SRC / module], "repro.session") == []

@@ -15,11 +15,7 @@ import pytest
 
 from repro.data.census import load_us
 from repro.experiments.config import SMOKE
-from repro.experiments.harness import (
-    evaluate_algorithm,
-    evaluate_algorithms,
-    evaluate_fm_budget_sweep,
-)
+from repro.session import ExecutionPolicy, Session
 
 pytestmark = pytest.mark.tier1
 
@@ -34,48 +30,44 @@ def us():
 @pytest.mark.parametrize("stream_version", [1, 2])
 class TestRuntimeEquivalencePerVersion:
     def test_batched_equals_percell(self, us, stream_version):
-        batched = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
-            stream_version=stream_version,
-        )
-        percell = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
-            runtime="percell", stream_version=stream_version,
+        batched, percell = (
+            Session(ExecutionPolicy(runtime=runtime, stream_version=stream_version))
+            .evaluate("FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9)
+            for runtime in ("batched", "percell")
         )
         assert batched.mean_score == percell.mean_score
         assert batched.std_score == percell.std_score
 
     def test_tiling_is_invariant(self, us, stream_version):
-        eager = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=2,
-            stream_version=stream_version,
-        )
-        tiled = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=2,
-            tile_size=1, stream_version=stream_version,
+        eager, tiled = (
+            Session(ExecutionPolicy(tile_size=tile_size, stream_version=stream_version))
+            .evaluate("FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=2)
+            for tile_size in (None, 1)
         )
         assert eager.mean_score == tiled.mean_score
         assert eager.std_score == tiled.std_score
 
     def test_executor_is_invariant(self, us, stream_version):
-        serial = evaluate_algorithm(
-            "FM", us, "logistic", dims=5, epsilon=0.8, preset=SMOKE, seed=3,
-            tile_size=1, stream_version=stream_version,
-        )
-        threaded = evaluate_algorithm(
-            "FM", us, "logistic", dims=5, epsilon=0.8, preset=SMOKE, seed=3,
-            tile_size=1, executor="thread", stream_version=stream_version,
-        )
-        assert serial.mean_score == threaded.mean_score
+        scores = []
+        for executor in ("serial", "thread"):
+            policy = ExecutionPolicy(
+                executor=executor, tile_size=1, stream_version=stream_version
+            )
+            with Session(policy) as session:
+                scores.append(
+                    session.evaluate(
+                        "FM", us, "logistic", dims=5, epsilon=0.8,
+                        preset=SMOKE, seed=3,
+                    ).mean_score
+                )
+        serial, threaded = scores
+        assert serial == threaded
 
     def test_budget_sweep_batched_equals_percell(self, us, stream_version):
-        batched = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4,
-            stream_version=stream_version,
-        )
-        percell = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4,
-            runtime="percell", stream_version=stream_version,
+        batched, percell = (
+            Session(ExecutionPolicy(runtime=runtime, stream_version=stream_version))
+            .budget_sweep(us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4)
+            for runtime in ("auto", "percell")
         )
         for epsilon in EPSILONS:
             assert batched[epsilon].mean_score == percell[epsilon].mean_score
@@ -83,27 +75,24 @@ class TestRuntimeEquivalencePerVersion:
     def test_engine_path_agrees(self, us, stream_version):
         """The streaming engine derives the same (seed, tag, version)
         noise streams; agreement is to accumulation accuracy."""
-        engine = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4,
-            runtime="engine", stream_version=stream_version,
-        )
-        batched = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4,
-            stream_version=stream_version,
+        engine, batched = (
+            Session(ExecutionPolicy(runtime=runtime, stream_version=stream_version))
+            .budget_sweep(us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4)
+            for runtime in ("engine", "auto")
         )
         assert engine[0.8].mean_score == pytest.approx(
             batched[0.8].mean_score, rel=1e-9
         )
 
     def test_grouped_panel_equals_individual_runs(self, us, stream_version):
-        grouped = evaluate_algorithms(
+        policy = ExecutionPolicy(stream_version=stream_version)
+        grouped = Session(policy).evaluate_panel(
             ["FM", "NoPrivacy"], us, "linear", dims=5, epsilon=0.8,
-            preset=SMOKE, seed=5, stream_version=stream_version,
+            preset=SMOKE, seed=5,
         )
         for name in ("FM", "NoPrivacy"):
-            alone = evaluate_algorithm(
-                name, us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=5,
-                stream_version=stream_version,
+            alone = Session(policy).evaluate(
+                name, us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=5
             )
             assert grouped[name].mean_score == alone.mean_score
             assert grouped[name].std_score == alone.std_score
@@ -114,13 +103,11 @@ class TestVersionsDiffer:
         """The two derivations must actually produce different noise streams
         (the alias fix reseeds every substream) — identical scores would mean
         the version flag is silently ignored somewhere in the stack."""
-        v1 = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
-            stream_version=1,
-        )
-        v2 = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
-            stream_version=2,
+        v1, v2 = (
+            Session(ExecutionPolicy(stream_version=version)).evaluate(
+                "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9
+            )
+            for version in (1, 2)
         )
         assert v1.mean_score != v2.mean_score
 
