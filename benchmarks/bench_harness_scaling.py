@@ -16,12 +16,15 @@ Assertions:
 
 * digests agree across every configuration (always);
 * with ``>= 4`` physical cores, the widest process configuration must beat
-  serial by ``HARNESS_SCALING_FLOOR`` (default 1.5x — conservative because
-  the child solves inherit BLAS threads and fork/reduce overhead; a real
-  regression in the parallel path lands at ~1x).  On boxes with fewer
-  cores the speedup assertion is skipped and the numbers are recorded
-  as-is (that is this repo's 1-CPU build box; the CI job supplies the
-  multi-core measurement).
+  serial by ``HARNESS_SCALING_FLOOR`` (default 1.5x — conservative for
+  fork/reduce overhead; a real regression in the parallel path lands at
+  ~1x).  On boxes with fewer cores the speedup assertion is skipped and
+  the numbers are recorded as-is (the CI job supplies the multi-core
+  measurement).
+
+``run_plan`` pins BLAS to one thread, so the process pool is the only
+parallelism; each child also reports the BLAS build and, sampled outside
+the pin, the thread count the host would use unpinned.
 
 Results merge into ``BENCH_harness.json`` under ``scaling_benchmarks``.
 
@@ -62,6 +65,7 @@ records, reps, config = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 from repro.data.census import load_us
 from repro.experiments.config import PRIVACY_BUDGETS, ScalePreset
 from repro.runtime import plan_cells_tiled, run_plan
+from repro.runtime.blas import blas_info, blas_threads
 from repro.runtime.executor import ProcessExecutor
 
 dataset = load_us(records)
@@ -83,6 +87,7 @@ print(json.dumps({
     "cells": plan.n_cells,
     "cells_per_sec": plan.n_cells / seconds,
     "score_digest": digest.hexdigest(),
+    "blas": {**blas_info(), "host_threads": blas_threads()},
 }))
 """
 
@@ -119,6 +124,7 @@ def measurements(results_dir) -> dict[str, dict]:
         "records": RECORDS,
         "repetitions": REPS,
         "cores_visible": _CPUS,
+        "blas": rows["serial"]["blas"],
         "configs": rows,
     }
     (results_dir / "harness_scaling.json").write_text(
@@ -175,6 +181,7 @@ records, calls, mode = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 from repro.data.census import load_us
 from repro.experiments.config import ScalePreset
 from repro.runtime import ProcessExecutor
+from repro.runtime.blas import blas_info, blas_threads
 from repro.session import ExecutionPolicy, Session
 
 dataset = load_us(records)
@@ -198,6 +205,7 @@ print(json.dumps({
     "seconds_per_call": seconds / calls,
     "policy": policy.to_dict(),
     "score_digest": digest.hexdigest(),
+    "blas": {**blas_info(), "host_threads": blas_threads()},
 }))
 """
 
@@ -227,8 +235,9 @@ def pool_measurements(results_dir) -> dict[str, dict]:
     ]
     save_and_print(results_dir, "harness_pool_reuse", "\n".join(lines))
     (results_dir / "harness_pool_reuse.json").write_text(
-        json.dumps({"records": POOL_RECORDS, "calls": POOL_CALLS, "modes": rows},
-                   indent=2) + "\n"
+        json.dumps({"records": POOL_RECORDS, "calls": POOL_CALLS,
+                    "cores_visible": _CPUS, "blas": rows["session"]["blas"],
+                    "modes": rows}, indent=2) + "\n"
     )
     return rows
 

@@ -20,5 +20,5 @@ setup(
     # `python -m repro verify --tier 3` works from an installed wheel.
     package_data={"repro.verify": ["golden_digests.json"]},
     python_requires=">=3.10",
-    install_requires=["numpy>=1.22"],
+    install_requires=["numpy>=2.0"],
 )

@@ -27,6 +27,7 @@ __all__ = [
     "SolverError",
     "ConvergenceError",
     "ExperimentError",
+    "BlasThreadError",
     "FaultError",
     "InjectedFaultError",
     "TransientIOError",
@@ -134,6 +135,14 @@ class ConvergenceError(SolverError):
 
 class ExperimentError(ReproError):
     """An experiment driver was misconfigured."""
+
+
+class BlasThreadError(ReproError):
+    """numpy's BLAS exposes no thread control, so it cannot be pinned.
+
+    The runtime refuses to run unpinned: a multithreaded BLAS reorders
+    reductions by thread count, which would make digests machine-dependent.
+    """
 
 
 class FaultError(ReproError):

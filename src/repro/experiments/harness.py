@@ -68,6 +68,7 @@ from ..runtime import (
     plan_cells_tiled,
     run_plan,
     run_plan_group,
+    single_blas_thread,
 )
 from .config import DEFAULT, ScalePreset
 
@@ -344,6 +345,7 @@ def _evaluate_fm_budget_sweep(
     }
 
 
+@single_blas_thread()
 def _fm_budget_sweep_engine(
     dataset: CensusDataset,
     task: Task,

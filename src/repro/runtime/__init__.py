@@ -15,7 +15,9 @@ into a three-stage pipeline:
    :func:`canonical_array` float64 input gate,
 3. :mod:`~repro.runtime.executor` spreads the residual non-batchable
    baselines — and, for tiled plans, whole batched tiles — over serial /
-   thread / forked-process executors.
+   thread / forked-process executors.  They are the only parallelism:
+   :mod:`~repro.runtime.blas` pins numpy's BLAS to one thread inside the
+   entry points below.
 
 :func:`run_plan` ties the stages together (and provides the per-cell
 reference oracle the equivalence tests assert against);
@@ -23,6 +25,7 @@ reference oracle the equivalence tests assert against);
 cross-algorithm stacked solves.
 """
 
+from .blas import single_blas_thread
 from .executor import (
     CellExecutor,
     PooledProcessExecutor,
@@ -61,6 +64,7 @@ from .plan import (
 from .runner import PlanResult, run_plan, run_plan_group
 
 __all__ = [
+    "single_blas_thread",
     "canonical_array",
     "CellExecutor",
     "SerialExecutor",

@@ -28,6 +28,11 @@ kernels, and only the lightweight per-cell score/time lists travel back.
     parent holds none.  On platforms without ``fork`` the executor
     degrades to serial execution.
 
+Executors supply all of the runtime's parallelism: inside
+:func:`~repro.runtime.run_plan` BLAS runs single-threaded
+(:mod:`~repro.runtime.blas`), and process pools forked there inherit that
+one thread.
+
 Pooled (session-held) variants
 ------------------------------
 ``ThreadExecutor`` and ``ProcessExecutor`` build a fresh pool inside every
@@ -349,7 +354,7 @@ class SerialExecutor(CellExecutor):
 
 
 class ThreadExecutor(CellExecutor):
-    """Run items on a thread pool (BLAS releases the GIL).
+    """Run items on a thread pool (single-threaded BLAS releases the GIL).
 
     Tile dispatch note: concurrent tiles may consult a shared
     :class:`~repro.runtime.plan.PreparedDataCache`; its entries are

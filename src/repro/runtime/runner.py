@@ -61,6 +61,7 @@ from ..regression.linear import _validate_xy as _validate_linear_xy
 from ..regression.logistic import _validate_xy as _validate_logistic_xy
 from ..regression.logistic import sigmoid
 from ..regression.metrics import mean_squared_error, misclassification_rate
+from .blas import single_blas_thread
 from .executor import CellExecutor, SerialExecutor, ThreadExecutor, get_executor
 from .kernels import (
     fm_noise_stack,
@@ -678,7 +679,7 @@ def run_plan(
     resolved = get_executor(executor)
     if mode not in ("batched", "percell"):
         raise ExperimentError(f"unknown runtime mode {mode!r}; use 'batched' or 'percell'")
-    with active_recorder().span(
+    with single_blas_thread(), active_recorder().span(
         "plan.run", mode=mode, algorithm=plan.algorithm, cells=plan.n_cells
     ):
         if mode == "percell":
@@ -714,7 +715,9 @@ def run_plan_group(
     if mode not in ("batched", "percell"):
         raise ExperimentError(f"unknown runtime mode {mode!r}; use 'batched' or 'percell'")
     resolved = get_executor(executor)
-    with active_recorder().span("plan.group", mode=mode, plans=len(plans)):
+    with single_blas_thread(), active_recorder().span(
+        "plan.group", mode=mode, plans=len(plans)
+    ):
         if all(isinstance(p, CellPlan) for p in plans):
             return _run_group_eager(plans, mode, resolved)
         if all(isinstance(p, TiledPlan) for p in plans):

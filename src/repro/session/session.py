@@ -204,9 +204,12 @@ class Session:
         return resource
 
     def close(self) -> None:
-        """Shut down the held executor pool and adopted resources (idempotent).
+        """Shut down the held executor pool, release the prepared-data cache
+        and close adopted resources (idempotent).
 
-        Teardown is unconditional and never raises: the executor
+        The cache is replaced by a fresh empty one, so a closed session
+        holds no prepared arrays or moment blocks; the dataset registry is
+        kept.  Teardown is unconditional and never raises: the executor
         reference is cleared *before* its ``close()`` runs, so a pool
         broken by :class:`~repro.exceptions.ExecutorBrokenError` cannot
         stay attached when its shutdown fails, and every adopted resource
@@ -216,8 +219,10 @@ class Session:
         context-manager exit.
 
         The session stays usable — the next call lazily rebuilds the
-        pool — so ``close()`` is a resource release, not a lifecycle end.
+        pool and refills the cache — so ``close()`` is a resource release,
+        not a lifecycle end.
         """
+        self._prepared_cache = PreparedDataCache()
         executor, self._executor = self._executor, None
         adopted, self._adopted = self._adopted, []
         failures = 0

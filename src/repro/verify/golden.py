@@ -20,7 +20,8 @@ bytes of every score statistic of a
 which are measurements of the host, not of the algorithm.
 
 Stored digests are a function of the BLAS/LAPACK build executing the
-solves, so the store records an environment fingerprint alongside them.
+solves, so the store records an environment fingerprint alongside them,
+including the BLAS build and the one thread the runtime pins it to.
 On a fingerprint mismatch the within-group equivalence checks retain full
 force while stored-digest comparisons are reported but expected to be
 re-pinned (``--regen-golden``) per environment — that is exactly the
@@ -47,6 +48,7 @@ from ..exceptions import ExperimentError
 from ..experiments.config import ScalePreset
 from ..experiments.figures import SweepResult
 from ..obs import active_recorder
+from ..runtime.blas import PINNED_BLAS_THREADS, blas_info
 from ..session import ExecutionPolicy, Session
 
 __all__ = [
@@ -222,13 +224,21 @@ def default_store_path() -> Path:
     return Path(__file__).resolve().parent / "golden_digests.json"
 
 
-def environment_fingerprint() -> dict[str, str]:
-    """What the stored digests are a function of, beyond the code."""
+def environment_fingerprint() -> dict[str, str | int]:
+    """What the stored digests are a function of, beyond the code.
+
+    The BLAS build is named as ``numpy.show_config`` reports it; its thread
+    count is the runtime's pin (:mod:`repro.runtime.blas`), not the host's.
+    """
+    blas = blas_info()
     return {
         "python": f"{sys.version_info.major}.{sys.version_info.minor}",
         "numpy": np.__version__,
         "machine": platform.machine(),
         "system": platform.system(),
+        "blas": blas["name"],
+        "blas_version": blas["version"],
+        "blas_threads": PINNED_BLAS_THREADS,
     }
 
 

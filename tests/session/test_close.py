@@ -7,11 +7,14 @@ without ever raising (a teardown error must not mask the exception that
 triggered a context-manager exit).
 """
 
+import gc
 import os
+import weakref
 
 import pytest
 
 from repro.exceptions import ExecutorBrokenError
+from repro.experiments.config import ScalePreset
 from repro.faults import RetryPolicy, make_injector, use_injector
 from repro.obs import make_recorder
 from repro.runtime import PooledProcessExecutor, PooledThreadExecutor
@@ -87,6 +90,29 @@ class TestAdoptedResources:
             payload = marker
         assert session.adopt(_R).payload is marker
         session.close()
+
+
+class TestPreparedCacheRelease:
+    def test_close_drops_prepared_arrays(self, tiny_dataset):
+        # No subsampling, so the run shares one prepared array pair
+        # through the session cache.
+        preset = ScalePreset(name="whole", max_records=10_000, folds=3, repetitions=1)
+        session = Session(ExecutionPolicy(executor="serial"))
+        session.evaluate("FM", tiny_dataset, "linear", 5, 1.0, preset=preset)
+        old_cache = session.prepared_cache
+        prepared = old_cache.task_arrays(tiny_dataset, "linear", 5)
+        arrays = weakref.ref(prepared.X)
+        del prepared
+        session.close()
+        fresh = session.prepared_cache
+        assert fresh is not old_cache
+        assert not fresh._tasks and not fresh._moments
+        del old_cache
+        gc.collect()
+        assert arrays() is None
+        # Still usable: the next call refills the fresh cache.
+        session.evaluate("FM", tiny_dataset, "linear", 5, 1.0, preset=preset)
+        assert fresh._tasks
 
 
 class TestBrokenExecutorTeardown:

@@ -37,6 +37,10 @@ SMOKE_CONFIGS = [
     "batched-process-tiledefault",
 ]
 
+_FINGERPRINT_KEYS = (
+    "python", "numpy", "machine", "system", "blas", "blas_version", "blas_threads",
+)
+
 
 class TestStoreWellFormed:
     pytestmark = pytest.mark.tier1
@@ -44,7 +48,8 @@ class TestStoreWellFormed:
     def test_committed_store_parses(self):
         store = load_store()
         assert store["format"] == 1
-        assert set(store["environment"]) == {"python", "numpy", "machine", "system"}
+        assert set(store["environment"]) == set(_FINGERPRINT_KEYS)
+        assert store["environment"]["blas_threads"] == 1
 
     def test_every_group_is_pinned(self):
         store = load_store()
@@ -202,7 +207,9 @@ class TestSmokeMatrix:
 
     def test_environment_fingerprint_shape(self):
         fingerprint = environment_fingerprint()
-        assert set(fingerprint) == {"python", "numpy", "machine", "system"}
+        assert set(fingerprint) == set(_FINGERPRINT_KEYS)
+        # The runtime's pin, not the host's BLAS thread count.
+        assert fingerprint["blas_threads"] == 1
         assert environment_matches(
             {"environment": fingerprint}
         )
