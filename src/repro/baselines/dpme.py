@@ -9,9 +9,12 @@ paper describes it):
 2. Release every cell count with ``Lap(2 / epsilon)`` noise (replace-one
    count sensitivity is 2).  This is the *only* step that touches the data,
    so the whole pipeline is ``epsilon``-DP.
-3. Generate a synthetic dataset matching the noisy histogram (we regress on
-   noisy-count-weighted cell centers, which is how Lei's M-estimator
-   consumes the histogram and is equivalent to materializing the rows).
+3. Generate a synthetic dataset matching the noisy histogram.  By default
+   the rows are materialized as the original method does: each cell emits
+   its rounded, clamped noisy count of points drawn uniformly inside it, so
+   the synthetic size grows with the count-noise mass as ``epsilon``
+   shrinks.  ``synthesis_mode="weighted"`` regresses on noisy-count-weighted
+   cell centers instead (see :mod:`~repro.baselines.synthesize`).
 4. Run ordinary (non-private) regression on the synthetic data.
 
 The dimensionality curse the paper highlights emerges naturally: at fixed
@@ -79,8 +82,12 @@ def fit_on_synthetic(synthetic: SyntheticData, task: Task, dim: int) -> np.ndarr
     """
     if synthetic.effective_size <= 0.0:
         return np.zeros(dim)
+    # Unit weights (points mode) change nothing: sqrt(1.0) and x * 1.0 are
+    # exact, so the unweighted fits give the same bits without the n x d
+    # weighted copy and the per-evaluation multiply.
+    weights = None if np.all(synthetic.weights == 1.0) else synthetic.weights
     if task == "linear":
-        model = LinearRegression().fit(synthetic.X, synthetic.y, sample_weight=synthetic.weights)
+        model = LinearRegression().fit(synthetic.X, synthetic.y, sample_weight=weights)
         return model.coef_
     labels = (synthetic.y > 0.5).astype(float)
     if np.unique(labels).size < 2:
@@ -88,7 +95,7 @@ def fit_on_synthetic(synthetic: SyntheticData, task: Task, dim: int) -> np.ndarr
         # zero parameter predicts 0.5 everywhere, which is the honest output.
         return np.zeros(dim)
     model = LogisticRegressionModel(l2=_SYNTHETIC_FIT_L2).fit(
-        synthetic.X, labels, sample_weight=synthetic.weights
+        synthetic.X, labels, sample_weight=weights
     )
     return model.coef_
 

@@ -123,7 +123,11 @@ class Grid:
     def sample_in_cells(
         self, flat_indices: np.ndarray, rng: RngLike = None
     ) -> np.ndarray:
-        """Draw one uniform point inside each given cell."""
+        """Draw one uniform point inside each given cell.
+
+        The per-row reference for points synthesis, which unravels each
+        occupied cell once and must reproduce these rows bit for bit.
+        """
         gen = ensure_rng(rng)
         flat = np.asarray(flat_indices, dtype=int)
         per_dim = np.array(np.unravel_index(flat, tuple(self.bins_per_dim))).T

@@ -2,6 +2,11 @@
 
 Formatting lives here so the CLI subcommand stays a thin dispatcher and
 tests can assert on the rendered report without spawning a process.
+
+Besides the summary's per-name span rows, the report splits every span
+that carries an ``algorithm`` attribute into ``name[algorithm]`` rows
+(``cell.fit[DPME]``, ``cell.fit[FP]``, ...), built from the trace's span
+events; a summary-mode trace has no events and so no split rows.
 """
 
 from __future__ import annotations
@@ -36,6 +41,23 @@ def load_trace(path: str | Path) -> list[dict]:
     return lines
 
 
+def _split_by_algorithm(events: list[dict]) -> dict[str, dict]:
+    """``name[algorithm]`` span stats from the events carrying that attribute."""
+    rows: dict[str, dict] = {}
+    for event in events:
+        algorithm = event.get("attrs", {}).get("algorithm")
+        if algorithm is None:
+            continue
+        stats = rows.setdefault(
+            f"{event['name']}[{algorithm}]",
+            {"count": 0, "total_seconds": 0.0, "max_seconds": 0.0},
+        )
+        stats["count"] += 1
+        stats["total_seconds"] += event["seconds"]
+        stats["max_seconds"] = max(stats["max_seconds"], event["seconds"])
+    return rows
+
+
 def summarize_trace(lines: list[dict]) -> str:
     """Render a human-readable report of one validated trace document."""
     meta = lines[0]
@@ -55,7 +77,7 @@ def summarize_trace(lines: list[dict]) -> str:
         rendered = ", ".join(f"{k}={v}" for k, v in sorted(policy.items()))
         out.append(f"policy: {rendered}")
 
-    spans = summary.get("spans", {})
+    spans = {**summary.get("spans", {}), **_split_by_algorithm(lines[1:-1])}
     if spans:
         width = max(len(name) for name in spans)
         out.append("")

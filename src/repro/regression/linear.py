@@ -115,8 +115,9 @@ class LinearRegression:
         """Fit by normal equations (SVD fallback on singular Gram matrices).
 
         ``sample_weight`` fits weighted least squares — used by the
-        histogram baselines, which regress on cell centers weighted by
-        noisy counts instead of materializing replicated synthetic rows.
+        histogram baselines' ``weighted`` synthesis mode, which regresses on
+        cell centers weighted by noisy counts instead of materializing
+        replicated synthetic rows.
         """
         X, y = _validate_xy(X, y)
         w = _validate_weights(sample_weight, X.shape[0])

@@ -58,16 +58,10 @@ def logistic_loss(
 
     Note the *sum* (not mean) convention, matching the paper's
     ``f_D(w) = sum_i f(t_i, w)``.  ``sample_weight`` weights each tuple's
-    contribution (histogram baselines regress on weighted cell centers).
+    contribution (the histogram baselines' ``weighted`` synthesis mode
+    regresses on count-weighted cell centers).
     """
-    z = X @ omega
-    per_tuple = np.logaddexp(0.0, z) - y * z
-    if sample_weight is not None:
-        per_tuple = per_tuple * sample_weight
-    loss = float(np.sum(per_tuple))
-    if l2:
-        loss += 0.5 * l2 * float(omega @ omega)
-    return loss
+    return _loss_term(X @ omega, omega, y, l2, sample_weight)
 
 
 def logistic_gradient(
@@ -78,13 +72,7 @@ def logistic_gradient(
     sample_weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient ``X^T (sigmoid(Xw) - y)`` (+ L2 term)."""
-    residual = sigmoid(X @ omega) - y
-    if sample_weight is not None:
-        residual = residual * sample_weight
-    grad = X.T @ residual
-    if l2:
-        grad = grad + l2 * omega
-    return grad
+    return _gradient_term(sigmoid(X @ omega), omega, X, y, l2, sample_weight)
 
 
 def logistic_hessian(
@@ -95,14 +83,84 @@ def logistic_hessian(
     sample_weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Hessian ``X^T diag(p(1-p)) X`` (+ L2 term); ``y`` unused but kept for symmetry."""
-    p = sigmoid(X @ omega)
+    return _hessian_term(sigmoid(X @ omega), X, l2, sample_weight)
+
+
+# The three terms from the scores ``z = X @ w`` or the probabilities
+# ``p = sigmoid(z)``, so one fit can share both across loss, gradient and
+# Hessian at an iterate (see _SharedTerms).
+def _loss_term(z, omega, y, l2, sample_weight) -> float:
+    per_tuple = np.logaddexp(0.0, z) - y * z
+    if sample_weight is not None:
+        per_tuple = per_tuple * sample_weight
+    loss = float(np.sum(per_tuple))
+    if l2:
+        loss += 0.5 * l2 * float(omega @ omega)
+    return loss
+
+
+def _gradient_term(p, omega, X, y, l2, sample_weight) -> np.ndarray:
+    residual = p - y
+    if sample_weight is not None:
+        residual = residual * sample_weight
+    grad = X.T @ residual
+    if l2:
+        grad = grad + l2 * omega
+    return grad
+
+
+def _hessian_term(p, X, l2, sample_weight, out=None) -> np.ndarray:
     weights = p * (1.0 - p)
     if sample_weight is not None:
         weights = weights * sample_weight
-    hess = (X * weights[:, None]).T @ X
+    hess = np.multiply(X, weights[:, None], out=out).T @ X
     if l2:
         hess = hess + l2 * np.eye(X.shape[1])
     return hess
+
+
+class _SharedTerms:
+    """Loss, gradient and Hessian of one fit, sharing work per iterate.
+
+    ``z = X @ w`` is computed once per distinct iterate (the line search's
+    accepted point is the next gradient's and Hessian's) and ``sigmoid(z)``
+    once per iterate; the Hessian's weighted design reuses one scratch
+    buffer.  Every value is the public function's, bit for bit.
+    """
+
+    def __init__(self, X, y, l2, sample_weight) -> None:
+        self.X, self.y, self.l2, self.sample_weight = X, y, l2, sample_weight
+        self._key: bytes | None = None
+        self._z: np.ndarray | None = None
+        self._p: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
+
+    def _scores(self, omega: np.ndarray) -> np.ndarray:
+        key = omega.tobytes()
+        if key != self._key:
+            self._key, self._z, self._p = key, self.X @ omega, None
+        return self._z
+
+    def _probabilities(self, omega: np.ndarray) -> np.ndarray:
+        z = self._scores(omega)
+        if self._p is None:
+            self._p = sigmoid(z)
+        return self._p
+
+    def loss(self, omega: np.ndarray) -> float:
+        return _loss_term(self._scores(omega), omega, self.y, self.l2, self.sample_weight)
+
+    def gradient(self, omega: np.ndarray) -> np.ndarray:
+        return _gradient_term(
+            self._probabilities(omega), omega, self.X, self.y, self.l2, self.sample_weight
+        )
+
+    def hessian(self, omega: np.ndarray) -> np.ndarray:
+        if self._scratch is None:
+            self._scratch = np.empty_like(self.X)
+        return _hessian_term(
+            self._probabilities(omega), self.X, self.l2, self.sample_weight, self._scratch
+        )
 
 
 def _validate_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,23 +228,15 @@ class LogisticRegressionModel:
             if not np.all(np.isfinite(sample_weight)) or np.any(sample_weight < 0):
                 raise DataError("sample_weight must be finite and non-negative")
         x0 = np.zeros(X.shape[1])
+        terms = _SharedTerms(X, y, self.l2, sample_weight)
         if self.solver == "newton":
             engine = NewtonSolver(max_iterations=self.max_iterations, tolerance=self.tolerance)
-            result = engine.minimize(
-                lambda w: logistic_loss(w, X, y, self.l2, sample_weight),
-                lambda w: logistic_gradient(w, X, y, self.l2, sample_weight),
-                lambda w: logistic_hessian(w, X, y, self.l2, sample_weight),
-                x0,
-            )
+            result = engine.minimize(terms.loss, terms.gradient, terms.hessian, x0)
         elif self.solver == "gd":
             engine = GradientDescent(
                 max_iterations=max(self.max_iterations, 500), tolerance=self.tolerance
             )
-            result = engine.minimize(
-                lambda w: logistic_loss(w, X, y, self.l2, sample_weight),
-                lambda w: logistic_gradient(w, X, y, self.l2, sample_weight),
-                x0,
-            )
+            result = engine.minimize(terms.loss, terms.gradient, x0)
         else:
             raise ValueError(f"unknown solver {self.solver!r}; use 'newton' or 'gd'")
         self.coef_ = result.x

@@ -69,7 +69,7 @@ __all__ = [
     "verify_matrix",
 ]
 
-#: Golden workload scale: small enough that the full 48-case matrix runs in
+#: Golden workload scale: small enough that the full 60-case matrix runs in
 #: CI minutes, large enough that every runtime path (subsampling, folds,
 #: stacked solves, histogram baselines) executes meaningfully.
 GOLDEN_PRESET = ScalePreset(name="golden", max_records=600, folds=3, repetitions=2)
@@ -119,17 +119,23 @@ GOLDEN_CONFIGS: tuple[GoldenConfig, ...] = tuple(
     for tile in (None, 1)
 )
 
-#: The pipeline axis: two figures x both stream-derivation versions.
+#: The pipeline axis: two figures x both stream-derivation versions, plus
+#: figure 6's logistic panel, whose DPME/FP fits run the Newton solver on
+#: the synthetic data.
 GOLDEN_GROUPS: tuple[GoldenGroup, ...] = tuple(
     GoldenGroup(
-        group_id=f"{figure}-linear-sv{version}",
+        group_id=f"{figure}-{task}-sv{version}",
         figure=figure,
-        task="linear",
+        task=task,
         stream_version=version,
         seed=seed,
     )
-    for figure, seed in (("figure5", 105), ("figure6", 106))
-    for version in (1, 2)
+    for figure, task, seed, versions in (
+        ("figure5", "linear", 105, (1, 2)),
+        ("figure6", "linear", 106, (1, 2)),
+        ("figure6", "logistic", 106, (2,)),
+    )
+    for version in versions
 )
 
 

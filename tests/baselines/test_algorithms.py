@@ -15,9 +15,12 @@ from repro.baselines import (
     make_algorithm,
 )
 from repro.baselines.dpme import build_joint_grid, fit_on_synthetic
-from repro.baselines.synthesize import SyntheticData
+from repro.baselines.histogram import COUNT_SENSITIVITY, histogram_counts
+from repro.baselines.synthesize import SyntheticData, synthesize_from_counts
 from repro.exceptions import ExperimentError, NotFittedError
+from repro.privacy.laplace import laplace_noise
 from repro.regression.linear import LinearRegression
+from repro.regression.logistic import LogisticRegressionModel
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +185,37 @@ class TestFitOnSynthetic:
         )
         coef = fit_on_synthetic(synth, "logistic", 2)
         np.testing.assert_array_equal(coef, 0.0)
+
+    @pytest.mark.parametrize("task", ["linear", "logistic"])
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0])
+    def test_unit_weights_fit_the_weighted_bits(self, task_data, task, epsilon):
+        """Points-mode synthetic data fits unweighted; the coefficients are
+        the weighted call's on the per-row reference rows, bit for bit."""
+        X, y_lin, y_log = task_data
+        y = y_lin if task == "linear" else y_log
+        grid = build_joint_grid(X.shape[0], X.shape[1], task)
+        gen = np.random.default_rng(17)
+        counts = histogram_counts(grid, np.hstack([X, y[:, None]]))
+        noisy = counts + laplace_noise(COUNT_SENSITIVITY, epsilon, size=counts.shape, rng=gen)
+        synth = synthesize_from_counts(
+            grid, noisy, mode="points", placement="uniform", rng=np.random.default_rng(3)
+        )
+        # The weighted call on the strided rows of the per-row path.
+        rounded = np.round(np.maximum(noisy, 0.0)).astype(np.int64)
+        occupied = np.nonzero(rounded)[0]
+        rows = grid.sample_in_cells(
+            np.repeat(occupied, rounded[occupied]), rng=np.random.default_rng(3)
+        )
+        ones = np.ones(rows.shape[0])
+        if task == "linear":
+            weighted = LinearRegression().fit(rows[:, :-1], rows[:, -1], sample_weight=ones)
+        else:
+            labels = (rows[:, -1] > 0.5).astype(float)
+            weighted = LogisticRegressionModel(l2=1e-8).fit(
+                rows[:, :-1], labels, sample_weight=ones
+            )
+        coef = fit_on_synthetic(synth, task, X.shape[1])
+        assert coef.tobytes() == weighted.coef_.tobytes()
 
 
 class TestFilterPriority:

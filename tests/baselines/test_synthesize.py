@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.baselines.histogram import Grid
+from repro.baselines.dpme import build_joint_grid
+from repro.baselines.histogram import COUNT_SENSITIVITY, Grid, histogram_counts
 from repro.baselines.synthesize import SyntheticData, synthesize_from_counts
 from repro.exceptions import DataError
+from repro.privacy.laplace import laplace_noise
 
 
 @pytest.fixture
@@ -100,6 +102,70 @@ class TestPointsMode:
     def test_wrong_count_length(self, joint_grid):
         with pytest.raises(DataError):
             synthesize_from_counts(joint_grid, np.zeros(7))
+
+
+def _noisy_counts(grid, epsilon, seed):
+    """Laplace-noised counts of points spread over the grid, as DPME draws them."""
+    gen = np.random.default_rng(seed)
+    points = gen.uniform(grid.lower, grid.upper, size=(2000, grid.dims))
+    counts = histogram_counts(grid, points)
+    return counts + laplace_noise(COUNT_SENSITIVITY, epsilon, size=counts.shape, rng=gen)
+
+
+def _reference_rows(grid, noisy, placement, seed):
+    """The per-row path: unravel every synthetic row's repeated cell index."""
+    counts = np.round(np.maximum(noisy, 0.0)).astype(np.int64)
+    occupied = np.nonzero(counts)[0]
+    flat = np.repeat(occupied, counts[occupied])
+    if placement == "center":
+        return grid.cell_center(flat)
+    return grid.sample_in_cells(flat, rng=np.random.default_rng(seed))
+
+
+class TestPointsOracle:
+    """Points synthesis is the per-row reference path bit for bit, and
+    returns C-contiguous ``X``/``y`` for the fits' BLAS calls."""
+
+    GRIDS = {
+        "linear": build_joint_grid(4000, 4, "linear"),
+        "logistic": build_joint_grid(4000, 4, "logistic"),
+        "non-uniform-bins": Grid(
+            lower=np.array([0.0, -0.5, 0.25, -1.0]),
+            upper=np.array([0.5, 0.5, 1.0, 1.0]),
+            bins_per_dim=np.array([3, 7, 1, 4]),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    @pytest.mark.parametrize("placement", ["uniform", "center"])
+    @pytest.mark.parametrize("epsilon", [0.1, 3.2])
+    def test_matches_per_row_reference(self, name, placement, epsilon):
+        grid = self.GRIDS[name]
+        noisy = _noisy_counts(grid, epsilon, seed=11)
+        synth = synthesize_from_counts(
+            grid, noisy, mode="points", placement=placement,
+            rng=np.random.default_rng(5),
+        )
+        rows = _reference_rows(grid, noisy, placement, seed=5)
+        assert synth.X.tobytes() == np.ascontiguousarray(rows[:, :-1]).tobytes()
+        assert synth.y.tobytes() == np.ascontiguousarray(rows[:, -1]).tobytes()
+        assert synth.X.flags.c_contiguous and synth.y.flags.c_contiguous
+        assert synth.weights.tobytes() == np.ones(rows.shape[0]).tobytes()
+
+    def test_all_clamped_counts(self):
+        grid = self.GRIDS["non-uniform-bins"]
+        gen = np.random.default_rng(9)
+        before = gen.bit_generator.state
+        synth = synthesize_from_counts(
+            grid, np.full(grid.total_cells, -0.7), mode="points",
+            placement="uniform", rng=gen,
+        )
+        center = grid.cell_center(grid.total_cells // 2)
+        assert synth.X.tobytes() == center[:-1].tobytes()
+        assert synth.y.tobytes() == center[-1:].tobytes()
+        assert synth.X.flags.c_contiguous and synth.y.flags.c_contiguous
+        assert synth.effective_size == 0.0
+        assert gen.bit_generator.state == before  # no draw for an empty release
 
 
 @pytest.fixture

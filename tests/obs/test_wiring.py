@@ -9,7 +9,13 @@ import pytest
 from repro.data.census import load_us
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ScalePreset
-from repro.obs import TraceRecorder, active_recorder, use_recorder
+from repro.obs import (
+    TraceRecorder,
+    active_recorder,
+    load_trace,
+    summarize_trace,
+    use_recorder,
+)
 from repro.runtime import (
     PooledProcessExecutor,
     PooledThreadExecutor,
@@ -134,6 +140,27 @@ class TestSessionTelemetry:
         names = {l.get("name") for l in lines}
         assert "session.evaluate" in names
         assert "plan.run" in names
+
+    def test_summarize_splits_cell_fit_by_algorithm(
+        self, tiny_dataset, tiny_preset, tmp_path
+    ):
+        # Seed 3: every DPME/FP Newton fit converges.  At the default seed
+        # three hit the 100-iteration cap on up to ~167k synthetic rows,
+        # which costs ~30 s and tests nothing more here.
+        policy = ExecutionPolicy(
+            telemetry="trace", executor="process", max_workers=2, seed=3
+        )
+        with Session(policy) as session:
+            session.figure("figure6", tiny_dataset, "logistic", preset=tiny_preset)
+            path = session.write_trace(tmp_path / "figure6.jsonl")
+        rows = {}
+        for line in summarize_trace(load_trace(path)).splitlines():
+            fields = line.split()
+            if fields and fields[0].startswith("cell.fit"):
+                rows[fields[0]] = int(fields[1])
+        split = {name: count for name, count in rows.items() if name != "cell.fit"}
+        assert {"cell.fit[DPME]", "cell.fit[FP]"} <= set(split)
+        assert sum(split.values()) == rows["cell.fit"] > 0
 
     def test_write_trace_requires_telemetry(self, tmp_path):
         with Session(ExecutionPolicy()) as session:

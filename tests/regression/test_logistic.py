@@ -11,6 +11,7 @@ from repro.regression.logistic import (
     logistic_loss,
     sigmoid,
 )
+from repro.regression.solvers import GradientDescent, NewtonSolver
 
 
 class TestSigmoid:
@@ -171,6 +172,79 @@ class TestLogisticModel:
         model = LogisticRegressionModel().fit(X, y)
         assert model.result_ is not None
         assert model.result_.converged
+
+
+def _noisy_labels(seed, flip, n=3000, d=5):
+    """A linear class boundary with a fraction ``flip`` of labels flipped."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0 / np.sqrt(d), size=(n, d))
+    z = X @ rng.normal(0.0, 4.0, size=d)
+    y = (z > np.median(z)).astype(float)
+    flipped = rng.uniform(size=n) < flip
+    y[flipped] = 1.0 - y[flipped]
+    return X, y
+
+
+#: (seed, flip) of two label sets: one converges on full Newton steps, the
+#: other makes the line search reject candidates on the way.
+_DATASETS = {"full-steps": (2, 0.05), "backtracking": (4, 0.01)}
+
+
+class TestSharedTermsOracle:
+    """The model shares ``X @ w`` and ``sigmoid`` across loss, gradient and
+    Hessian; its iterates must be the public functions' bit for bit."""
+
+    @staticmethod
+    def _reference(model, X, y, sample_weight, solver):
+        """Run the model's solver over the public functions; also count
+        the loss evaluations (each rejected line-search step adds one)."""
+        args = (X, y, model.l2, sample_weight)
+        evaluations = []
+
+        def loss(w):
+            evaluations.append(1)
+            return logistic_loss(w, *args)
+
+        grad = lambda w: logistic_gradient(w, *args)  # noqa: E731
+        x0 = np.zeros(X.shape[1])
+        if solver == "newton":
+            hess = lambda w: logistic_hessian(w, *args)  # noqa: E731
+            engine = NewtonSolver(max_iterations=model.max_iterations, tolerance=model.tolerance)
+            return engine.minimize(loss, grad, hess, x0), len(evaluations)
+        engine = GradientDescent(
+            max_iterations=max(model.max_iterations, 500), tolerance=model.tolerance
+        )
+        return engine.minimize(loss, grad, x0), len(evaluations)
+
+    @pytest.mark.parametrize("dataset", sorted(_DATASETS))
+    @pytest.mark.parametrize("weights", ["none", "ones", "counts"])
+    @pytest.mark.parametrize("layout", ["C", "F", "column-slice"])
+    def test_newton_matches_public_functions(self, rng, dataset, weights, layout):
+        X, y = _noisy_labels(*_DATASETS[dataset])
+        if layout == "F":
+            X = np.asfortranarray(X)
+        elif layout == "column-slice":  # the strided view synthesis used to return
+            X = np.hstack([X, y[:, None]])[:, :-1]
+        sample_weight = {
+            "none": None,
+            "ones": np.ones(X.shape[0]),
+            "counts": rng.integers(1, 6, size=X.shape[0]).astype(float),
+        }[weights]
+        model = LogisticRegressionModel(l2=1e-8).fit(X, y, sample_weight=sample_weight)
+        reference, evaluations = self._reference(model, X, y, sample_weight, "newton")
+        assert model.coef_.tobytes() == reference.x.tobytes()
+        assert model.result_.iterations == reference.iterations > 2
+        assert model.result_.fun == reference.fun
+        if (dataset, weights, layout) == ("backtracking", "none", "C"):
+            assert evaluations > reference.iterations + 1
+
+    def test_gd_matches_public_functions(self):
+        X, y = _noisy_labels(2, 0.05, n=400, d=2)
+        model = LogisticRegressionModel(solver="gd", l2=1e-3).fit(X, y)
+        reference, evaluations = self._reference(model, X, y, None, "gd")
+        assert model.coef_.tobytes() == reference.x.tobytes()
+        assert model.result_.iterations == reference.iterations
+        assert evaluations > reference.iterations + 1  # Armijo backtracks
 
 
 @pytest.fixture

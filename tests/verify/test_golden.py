@@ -2,10 +2,11 @@
 
 Two layers, by cost:
 
-* tier-1 smoke — the store is well-formed and one group (the
+* tier-1 smoke — the store is well-formed, one group (the
   stream-version-2 figure-5 pipeline, so the v2 path runs end to end in
   the default suite) is bitwise-equivalent across a representative slice
-  of execution configs;
+  of execution configs, and the figure-6 logistic panel (the DPME/FP
+  Newton fits) is equivalent on both runtimes;
 * tier-3 matrix — every group across every config, strict against the
   committed digests (opt-in: ``--run-tier3`` / ``REPRO_TIER3=1``).
 """
@@ -64,11 +65,14 @@ class TestStoreWellFormed:
 
     def test_matrix_dimensions(self):
         """The acceptance floor: >= 2 figures x {percell, batched} x
-        {serial, thread, process} x {tile 1, default} x {sv 1, 2}."""
+        {serial, thread, process} x {tile 1, default} x {sv 1, 2}, and
+        both tasks."""
         figures = {g.figure for g in GOLDEN_GROUPS}
         versions = {g.stream_version for g in GOLDEN_GROUPS}
+        assert len(GOLDEN_GROUPS) == 5
         assert len(figures) >= 2
         assert versions == {1, 2}
+        assert {g.task for g in GOLDEN_GROUPS} == {"linear", "logistic"}
         assert {c.runtime for c in GOLDEN_CONFIGS} == {"batched", "percell"}
         assert {c.executor for c in GOLDEN_CONFIGS} == {"serial", "thread", "process"}
         assert {c.tile_size for c in GOLDEN_CONFIGS} == {None, 1}
@@ -136,6 +140,14 @@ class TestSmokeMatrix:
         assert set(outcome.digests) == set(SMOKE_CONFIGS)
         if report.environment_match:
             assert outcome.matches_stored
+        assert report.passed
+
+    def test_logistic_panel_equivalent_across_runtimes(self):
+        configs = ["batched-serial-tiledefault", "percell-serial-tile1"]
+        report = verify_matrix(group_ids=["figure6-logistic-sv2"], config_ids=configs)
+        assert report.all_equivalent
+        if report.environment_match:
+            assert report.outcomes[0].matches_stored
         assert report.passed
 
     def test_regen_roundtrip(self, tmp_path):
@@ -250,7 +262,7 @@ class TestFullMatrix:
         assert report.passed or not report.environment_match
 
     def test_full_matrix_is_telemetry_neutral(self, report):
-        """All 48 cases re-run at telemetry='trace' produce the very same
+        """All 60 cases re-run at telemetry='trace' produce the very same
         group digests as the untraced run."""
         traced = verify_matrix(telemetry="trace")
         assert traced.all_equivalent
