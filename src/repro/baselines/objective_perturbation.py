@@ -27,6 +27,7 @@ import math
 
 import numpy as np
 
+from ..core.objectives import scaled_cross_moment
 from ..exceptions import DataError
 from ..privacy.rng import RngLike, ensure_rng
 from ..regression.logistic import (
@@ -116,8 +117,10 @@ class ObjectivePerturbation(BaselineRegressor):
             #   (1/n)(w^T X^T X w - 2 y^T X w + y^T y) + b^T w / n
             #   + (lam/2) ||w||^2,
             # stationary at (2 X^T X / n + lam I) w = (2 X^T y - b) / n.
+            # ``2.0 * X.T @ X`` stays a GEMM on a scaled copy: the unscaled
+            # ``X.T @ X`` would route to SYRK and round differently.
             lhs = 2.0 * X.T @ X / n + lam * np.eye(d)
-            rhs = (2.0 * X.T @ y - b) / n
+            rhs = (scaled_cross_moment(2.0, X, y) - b) / n
             omega = np.linalg.solve(lhs, rhs)
             # Projection onto the Lipschitz ball keeps the guarantee honest.
             norm = float(np.linalg.norm(omega))

@@ -46,6 +46,7 @@ __all__ = [
     "LinearRegressionObjective",
     "LogisticRegressionObjective",
     "NORM_TOLERANCE",
+    "scaled_cross_moment",
 ]
 
 #: Slack allowed when validating ``||x||_2 <= 1`` and target ranges.
@@ -61,6 +62,22 @@ def _validate_matrix(X: np.ndarray, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise DataError("X must be finite")
     return X
+
+
+def scaled_cross_moment(scale: float, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``scale * X.T @ y`` bit for bit, without the scaled ``n x d`` copy.
+
+    numpy parses ``scale * X.T @ y`` as ``(scale * X.T) @ y``: it fills a
+    scaled copy of ``X`` before one GEMV.  For ``scale = +-2`` (exact in
+    binary floating point; no overflow on the declared ``|x|, |y| <= 1``
+    domains) ``scale * (X.T @ y)`` rounds identically as long as the GEMV
+    sees the copy's operand layout — so a strided ``X`` is gathered into
+    that same contiguous layout — and ``0.0 +`` turns the ``-0.0`` of an
+    exact-zero entry back into the ``+0.0`` the scaled GEMV accumulates.
+    """
+    if not (X.flags.c_contiguous or X.flags.f_contiguous):
+        X = X.copy(order="K")
+    return 0.0 + scale * (X.T @ y)
 
 
 class RegressionObjective(abc.ABC):
@@ -199,7 +216,9 @@ class LinearRegressionObjective(RegressionObjective):
         y = np.asarray(y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
             raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
-        return QuadraticForm(M=X.T @ X, alpha=-2.0 * X.T @ y, beta=float(y @ y))
+        return QuadraticForm(
+            M=X.T @ X, alpha=scaled_cross_moment(-2.0, X, y), beta=float(y @ y)
+        )
 
     def per_tuple_l1_bound(self, tight: bool = False) -> float:
         """``y^2 + 2|y| sum|x_j| + (sum|x_j|)^2 <= 1 + 2 B + B^2 = (1 + B)^2``.

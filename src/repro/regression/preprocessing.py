@@ -193,11 +193,28 @@ def train_test_split(
     order = gen.permutation(n)
     n_test = max(1, int(round(n * test_fraction)))
     n_test = min(n_test, n - 1)
-    return np.sort(order[n_test:]), np.sort(order[:n_test])
+    return _complement_split(n, order[:n_test])
+
+
+def _complement_split(n: int, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``(train, test)`` index vectors for one held-out set.
+
+    Marking ``test`` in a boolean mask and reading both sides back with
+    ``flatnonzero`` yields the sorted complement and the sorted test set
+    (int64, C-contiguous) in two linear passes, with no sort.
+    """
+    held_out = np.zeros(n, dtype=bool)
+    held_out[test] = True
+    return np.flatnonzero(~held_out), np.flatnonzero(held_out)
 
 
 class KFold:
     """K-fold cross-validation splitter (the paper uses 5 folds, 50 repeats).
+
+    Each fold's test set is the next contiguous slice of one permutation
+    of ``range(n)`` (the first ``n % n_splits`` folds one index larger);
+    its training set is the complement.  Both index vectors come back
+    ascending.
 
     Parameters
     ----------
@@ -235,7 +252,5 @@ class KFold:
         fold_sizes[: n % self.n_splits] += 1
         start = 0
         for size in fold_sizes:
-            test = indices[start : start + size]
-            train = np.concatenate([indices[:start], indices[start + size :]])
-            yield np.sort(train), np.sort(test)
+            yield _complement_split(n, indices[start : start + size])
             start += size

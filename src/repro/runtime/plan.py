@@ -38,8 +38,8 @@ Prepared-data reuse
 -------------------
 A :class:`PreparedDataCache` can be shared by several plans (a Session's
 ``evaluate_panel`` shares one across every algorithm of a panel, and a
-:class:`TiledPlan` shares one across its tiles).  It provides two reuses,
-both bit-exact because they only share *identical* values:
+:class:`TiledPlan` shares one across its tiles).  It provides three reuses,
+all bit-exact because they only share *identical* values or verdicts:
 
 * **prepared repetition arrays** — whenever a repetition's working dataset
   is the raw dataset itself (no preset subsample, sampling rate 1.0 — which
@@ -49,7 +49,11 @@ both bit-exact because they only share *identical* values:
 * **moment blocks** — the quadratic sufficient statistics
   (Gram/moment/objective coefficients) of a training split, keyed by the
   split's identity, shared across all epsilons and across any plans that
-  aggregate the same split with the same objective.
+  aggregate the same split with the same objective;
+* **domain gates** — a successful input check (row norms, finiteness,
+  target range) of one read-only prepared array pair, so the FULL
+  protocol's shared arrays are checked once per gate rather than once
+  per tile.
 
 Kernel classification
 ---------------------
@@ -168,16 +172,18 @@ def classify_kernel(algorithm: str, task: Task, kwargs: Mapping) -> str:
 # Prepared-data reuse
 # ----------------------------------------------------------------------
 class PreparedDataCache:
-    """Shares prepared arrays and moment blocks across plans, bit-exactly.
+    """Shares prepared arrays, moment blocks and gate passes, bit-exactly.
 
-    Two independent caches live here:
+    Three caches live here:
 
     * ``task_arrays`` — the normalized ``regression_task`` output, keyed by
       ``(dataset identity, task, dims)``.  Only consulted when a
       repetition's working dataset *is* the raw dataset (no preset
       subsample, sampling rate 1.0), where preparation is a pure function
       of the key; every repetition of every algorithm then shares one
-      array pair instead of each materializing its own copy.
+      array pair instead of each materializing its own copy.  The shared
+      arrays are made read-only, so no caller can write into another's
+      data (or past a memoized domain gate).
     * ``moment_blocks`` — per-training-split sufficient statistics (the
       quadratic kernels' Gram/moment/objective blocks), keyed by the split
       arrays' identity, a digest of the index vector, and an
@@ -185,6 +191,10 @@ class PreparedDataCache:
       references to the split arrays, so the cache never extends a tile's
       lifetime — once a tile's arrays are dropped, its moment entries
       become reclaimable too.
+    * ``validated`` — successful domain gates, keyed like the moment
+      blocks by the arrays' identity plus a gate name saying what was
+      checked.  Only read-only arrays are memoized, and a failed check
+      is never recorded, so every violating call still raises.
 
     Sharing is safe for bit-identity because a hit returns the *identical*
     values the miss path would compute: the cache changes how often the
@@ -197,6 +207,7 @@ class PreparedDataCache:
         # can never serve stale data.
         self._tasks: dict[tuple, tuple[weakref.ref, object]] = {}
         self._moments: dict[tuple, tuple[weakref.ref, weakref.ref, object]] = {}
+        self._gates: dict[tuple, tuple[weakref.ref, weakref.ref, None]] = {}
 
     def __reduce__(self):
         # A cache's entries are keyed by object identity and held through
@@ -218,6 +229,8 @@ class PreparedDataCache:
                 return prepared
         active_recorder().counter("prepared_cache.task_misses")
         prepared = dataset.regression_task(task, dims=dims)
+        prepared.X.setflags(write=False)
+        prepared.y.setflags(write=False)
         self._tasks[key] = (weakref.ref(dataset), prepared)
         if len(self._tasks) % 64 == 0:
             self._prune()
@@ -256,20 +269,48 @@ class PreparedDataCache:
             self._prune()
         return value
 
+    def validated(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        gate: str,
+        check: Callable[[np.ndarray, np.ndarray], object],
+    ) -> None:
+        """Run ``check(X, y)`` unless ``gate`` already passed on these arrays.
+
+        ``gate`` names what ``check`` verifies (e.g. an objective class and
+        its dimension), never a per-plan object whose id could be recycled.
+        A pass is remembered only when both arrays are read-only — the
+        shared ``task_arrays`` output — so their content cannot change
+        behind the memo; an exception propagates and records nothing.
+        """
+        memoize = not (X.flags.writeable or y.flags.writeable)
+        key = (id(X), id(y), gate)
+        if memoize:
+            hit = self._gates.get(key)
+            if hit is not None and hit[0]() is X and hit[1]() is y:
+                active_recorder().counter("prepared_cache.validation_hits")
+                return
+            active_recorder().counter("prepared_cache.validation_misses")
+        check(X, y)
+        if memoize:
+            self._gates[key] = (weakref.ref(X), weakref.ref(y), None)
+
     def _prune(self) -> None:
         """Drop entries whose source objects have been garbage collected.
 
-        Sweeps both maps: moment entries whose split arrays died, and task
-        entries whose dataset died — the latter matters for a session-
+        Sweeps every map: moment and gate entries whose arrays died, and
+        task entries whose dataset died — the latter matters for a session-
         lifetime cache, where the prepared arrays of a transient dataset
         would otherwise stay strongly referenced forever.  Iterates over a
         snapshot and deletes with ``pop``: concurrent tile threads may
         insert into the cache mid-prune, and iterating the live dict would
         raise ``RuntimeError: dictionary changed size``.
         """
-        for key, (x_ref, y_ref, _) in list(self._moments.items()):
-            if x_ref() is None or y_ref() is None:
-                self._moments.pop(key, None)
+        for entries in (self._moments, self._gates):
+            for key, (x_ref, y_ref, _) in list(entries.items()):
+                if x_ref() is None or y_ref() is None:
+                    entries.pop(key, None)
         for key, (dataset_ref, _) in list(self._tasks.items()):
             if dataset_ref() is None:
                 self._tasks.pop(key, None)

@@ -106,22 +106,32 @@ class PlanResult:
         return self.last_n_train if self.last_n_train >= 0 else self.plan.n_train
 
 
-def _validate_plan_inputs(plan: CellPlan, validate) -> None:
-    """Apply a per-cell input gate once per repetition instead of per cell.
+def _validate_plan_inputs(plan: CellPlan, validate, gate: str) -> None:
+    """Apply a per-cell input gate once per prepared array, not per cell.
 
     Folds of a repetition share its prepared arrays (by identity), and
     k-fold splitting puts every row into some training split, so validating
     the repetition's full ``(X, y)`` accepts/rejects exactly the datasets
-    the per-cell gate would — at one O(n d) pass per repetition instead of
-    one per cell.  (With a shared prepared-data cache, repetitions sharing
-    one array validate once total — still the same accept/reject.)
+    the per-cell gate would — at one O(n d) pass per array pair instead of
+    one per cell.  With a prepared-data cache, a pass is memoized under
+    ``gate`` (what ``validate`` checks), so the identity case's shared
+    arrays are checked once per cache, not once per tile or plan — still
+    the same accept/reject, since a failure is never memoized.
     """
     seen: set[int] = set()
     for fold in plan.folds:
         if id(fold.X) in seen:
             continue
         seen.add(id(fold.X))
-        validate(fold.X, fold.y)
+        if plan.cache is None:
+            validate(fold.X, fold.y)
+        else:
+            plan.cache.validated(fold.X, fold.y, gate, validate)
+
+
+def _objective_gate(objective: RegressionObjective) -> str:
+    """The gate name of ``objective.validate``: what it checks, not who asks."""
+    return f"{type(objective).__name__}.validate:{objective.dim}"
 
 
 def _objective_for_plan(plan: CellPlan) -> RegressionObjective:
@@ -356,7 +366,7 @@ def _prepare_fm(plan: CellPlan) -> _QuadRequest:
     # output on data violating the footnote-1 normalization would void the
     # sensitivity bound (checks only — no arithmetic, so bit-identity with
     # the per-cell path is unaffected).
-    _validate_plan_inputs(plan, objective.validate)
+    _validate_plan_inputs(plan, objective.validate, _objective_gate(objective))
     recorder = active_recorder()
     for f, fold in enumerate(plan.folds):
         form = _fold_quadratic_form(plan, objective, fold)
@@ -389,7 +399,8 @@ def _prepare_ols(plan: CellPlan) -> _QuadRequest:
     F = len(plan.folds)
     gram = np.empty((F, d, d))
     moment = np.empty((F, d))
-    _validate_plan_inputs(plan, _validate_linear_xy)  # the per-cell input gate
+    # the per-cell input gate
+    _validate_plan_inputs(plan, _validate_linear_xy, "_validate_linear_xy")
     for f, fold in enumerate(plan.folds):
         gram[f], moment[f] = _fold_gram_moment(plan, fold)
     return _QuadRequest(
@@ -409,7 +420,8 @@ def _prepare_truncated(plan: CellPlan) -> _QuadRequest:
     F = len(plan.folds)
     M_stack = np.empty((F, d, d))
     alpha_stack = np.empty((F, d))
-    _validate_plan_inputs(plan, objective.validate)  # Truncated.fit's gate
+    # Truncated.fit's gate
+    _validate_plan_inputs(plan, objective.validate, _objective_gate(objective))
     for f, fold in enumerate(plan.folds):
         form = _fold_quadratic_form(plan, objective, fold)
         M_stack[f] = form.M
@@ -583,7 +595,8 @@ def _run_newton_batched(plan: CellPlan) -> tuple[dict[float, list[float]], float
     """
     recorder = active_recorder()
     with recorder.span("kernel.newton", folds=len(plan.folds)) as span:
-        _validate_plan_inputs(plan, _validate_logistic_xy)  # label/shape gate
+        # label/shape gate
+        _validate_plan_inputs(plan, _validate_logistic_xy, "_validate_logistic_xy")
         coefs = np.empty((len(plan.folds), plan.dim))
         by_size: dict[int, list[int]] = {}
         for f, fold in enumerate(plan.folds):

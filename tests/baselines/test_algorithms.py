@@ -16,6 +16,7 @@ from repro.baselines import (
 )
 from repro.baselines.dpme import build_joint_grid, fit_on_synthetic
 from repro.baselines.histogram import COUNT_SENSITIVITY, histogram_counts
+from repro.baselines.output_perturbation import gamma_sphere_noise
 from repro.baselines.synthesize import SyntheticData, synthesize_from_counts
 from repro.exceptions import ExperimentError, NotFittedError
 from repro.privacy.laplace import laplace_noise
@@ -311,6 +312,24 @@ class TestObjectivePerturbation:
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
             ObjectivePerturbation(task="linear", epsilon=1.0, lam=-1.0)
+
+    @pytest.mark.parametrize("n", [50, 6000])
+    def test_linear_fit_matches_scaled_copy_bytes(self, task_data, n):
+        # Reference: the closed form as first written, whose right-hand side
+        # parsed as ((2.0 * X.T) @ y - b) / n — a scaled copy of X.
+        X, y, _ = task_data
+        X, y = X[:n], y[:n]
+        model = ObjectivePerturbation(task="linear", epsilon=1.0, rng=3).fit(X, y)
+        d = X.shape[1]
+        L = 2.0 * (1.0 + model.projection_radius)
+        b = gamma_sphere_noise(d, 2.0 * L, model.epsilon_prime_, rng=np.random.default_rng(3))
+        lhs = 2.0 * X.T @ X / n + model.lam_effective_ * np.eye(d)
+        rhs = (2.0 * X.T @ y - b) / n
+        omega = np.linalg.solve(lhs, rhs)
+        norm = float(np.linalg.norm(omega))
+        if norm > model.projection_radius:
+            omega = omega * (model.projection_radius / norm)
+        assert model.coef_.tobytes() == omega.tobytes()
 
 
 class TestFMBaseline:

@@ -161,3 +161,54 @@ class TestKFold:
         for (ta, sa), (tb, sb) in zip(a, b):
             np.testing.assert_array_equal(ta, tb)
             np.testing.assert_array_equal(sa, sb)
+
+
+def _reference_kfold(n, n_splits, shuffle, gen):
+    """The concatenate + sort splitter the mask-based one replaced."""
+    indices = gen.permutation(n) if shuffle else np.arange(n)
+    fold_sizes = np.full(n_splits, n // n_splits, dtype=int)
+    fold_sizes[: n % n_splits] += 1
+    start = 0
+    for size in fold_sizes:
+        test = indices[start : start + size]
+        train = np.concatenate([indices[:start], indices[start + size :]])
+        yield np.sort(train), np.sort(test)
+        start += size
+
+
+def _assert_same_indices(got, want):
+    assert got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert np.all(np.diff(got) > 0)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSplitOracle:
+    """Mask-based splits equal the old concatenate + sort splits exactly."""
+
+    @pytest.mark.parametrize("n_splits", range(2, 11))
+    @pytest.mark.parametrize("n", [10, 11, 103, 1000, 12_347])
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_kfold_matches_reference(self, n_splits, n, shuffle):
+        gen = np.random.default_rng(n * 7 + n_splits)
+        ref_gen = np.random.default_rng(n * 7 + n_splits)
+        got = list(KFold(n_splits=n_splits, shuffle=shuffle, rng=gen).split(n))
+        want = list(_reference_kfold(n, n_splits, shuffle, ref_gen))
+        assert len(got) == len(want) == n_splits
+        for (train, test), (ref_train, ref_test) in zip(got, want):
+            _assert_same_indices(train, ref_train)
+            _assert_same_indices(test, ref_test)
+        # One permutation draw either way: the generator's next draw agrees.
+        assert gen.integers(2**62) == ref_gen.integers(2**62)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 101, 5000])
+    @pytest.mark.parametrize("fraction", [0.01, 0.2, 0.5, 0.9])
+    def test_train_test_split_matches_reference(self, n, fraction):
+        gen = np.random.default_rng(n)
+        ref_gen = np.random.default_rng(n)
+        train, test = train_test_split(n, test_fraction=fraction, rng=gen)
+        order = ref_gen.permutation(n)
+        n_test = min(max(1, int(round(n * fraction))), n - 1)
+        _assert_same_indices(train, np.sort(order[n_test:]))
+        _assert_same_indices(test, np.sort(order[:n_test]))
+        assert gen.integers(2**62) == ref_gen.integers(2**62)
