@@ -54,13 +54,13 @@ flags.  The sweep figures' knobs (see :mod:`repro.runtime`):
 epsilon) cell through stacked LAPACK kernels, while ``--runtime percell``
 forces the per-cell reference path — both produce bitwise-identical scores,
 so the choice only trades wall-clock for auditability.  ``--executor
-serial|thread|process`` selects where parallel work runs (the residual
-non-batchable baseline cells, and whole batched tiles under tiling), with
-``--max-workers`` bounding the pool.  ``--tile-size`` bounds peak memory
-by materializing at most that many repetitions' prepared arrays at a
-time, and ``--stream-version 2`` opts into the alias-free substream
-derivation — both leave scores bitwise unchanged except that stream
-version 2 deliberately reshuffles all noise.
+serial|thread|process`` selects where the work units run (one batched
+unit per tile and one per non-batchable baseline fold; a sweep runs all of
+its points' units as one map), with ``--max-workers`` bounding the pool.
+``--tile-size`` bounds peak memory by materializing at most that many
+repetitions' prepared arrays at a time, and ``--stream-version 2`` opts
+into the alias-free substream derivation — both leave scores bitwise
+unchanged except that stream version 2 deliberately reshuffles all noise.
 
 Observability (:mod:`repro.obs`): ``--telemetry summary|trace`` turns on
 the run's recorder (default off — a single null-check per instrumented
@@ -147,10 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--executor", choices=("serial", "thread", "process"), default=None,
-            help="where parallel work runs (default serial): per-cell work "
-            "(the non-batchable baselines, or everything under --runtime "
-            "percell), and whole batched tiles when --tile-size yields more "
-            "than one tile",
+            help="where the work units run (default serial): one batched "
+            "unit per tile and one unit per fold of each non-batchable "
+            "baseline (of every algorithm under --runtime percell)",
         )
         p.add_argument(
             "--max-workers", type=int, default=None, metavar="N",

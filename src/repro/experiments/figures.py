@@ -27,6 +27,7 @@ from ..core.mechanism import FunctionalMechanism
 from ..core.objectives import LinearRegressionObjective, LogisticRegressionObjective
 from ..data.datasets import CensusDataset
 from ..privacy.rng import RngLike, ensure_rng
+from ..runtime import run_plan_groups
 from .config import (
     DEFAULT,
     DEFAULT_DIMENSIONALITY,
@@ -38,8 +39,9 @@ from .config import (
 )
 from .harness import (
     EvaluationResult,
-    _evaluate_algorithms,
     _evaluate_fm_budget_sweep,
+    _plan_algorithms,
+    _point_results,
 )
 
 __all__ = [
@@ -187,14 +189,17 @@ def _accuracy_sweep(
 ) -> SweepResult:
     """The sweep machinery behind every accuracy/timing figure.
 
-    Non-swept parameters sit at their Table-2 defaults; each sweep point
-    evaluates its whole algorithm panel as one grouped run, sharing
-    prepared data and merging same-kernel-class solves.  Scores are
-    bitwise identical across runtimes, executors and tilings.
+    Non-swept parameters sit at their Table-2 defaults.  Every sweep point
+    is planned first, as one algorithm-panel group (shared prepared data,
+    merged same-kernel-class solves); then all points run as **one**
+    :func:`~repro.runtime.run_plan_groups` map, so an executor's workers
+    stay busy across points and the costliest units start first.  Scores
+    are bitwise identical across runtimes, executors and tilings, and to
+    running the points one by one.
 
     ``prepared_cache`` may span the whole sweep (a session's persistent
     cache): identity-case task arrays are shared across points (they are
-    materialized at planning time, outside the fit clock), while
+    materialized with the tiles, outside the fit clock), while
     fold-level moment blocks can never collide across points — each
     point's ``seed + 1000 * i`` derives distinct fold permutations, and
     the moment key includes the train-index digest — so the timing
@@ -202,26 +207,29 @@ def _accuracy_sweep(
     a sweep.
     """
     algorithms = tuple(algorithms or _algorithms_for(task))
-    series: dict[str, list[EvaluationResult]] = {name: [] for name in algorithms}
+    groups = []
     for i, value in enumerate(values):
         dims = value if parameter == "dimensionality" else DEFAULT_DIMENSIONALITY
         rate = value if parameter == "sampling_rate" else 1.0
         epsilon = value if parameter == "epsilon" else DEFAULT_EPSILON
-        point = _evaluate_algorithms(
-            algorithms,
-            dataset,
-            task,
-            dims=int(dims),
-            epsilon=float(epsilon),
-            preset=preset,
-            sampling_rate=float(rate),
-            seed=seed + 1000 * i,
-            runtime=runtime,
-            executor=executor,
-            tile_size=tile_size,
-            stream_version=stream_version,
-            prepared_cache=prepared_cache,
+        groups.append(
+            _plan_algorithms(
+                algorithms,
+                dataset,
+                task,
+                dims=int(dims),
+                epsilon=float(epsilon),
+                preset=preset,
+                sampling_rate=float(rate),
+                seed=seed + 1000 * i,
+                tile_size=tile_size,
+                stream_version=stream_version,
+                prepared_cache=prepared_cache,
+            )
         )
+    series: dict[str, list[EvaluationResult]] = {name: [] for name in algorithms}
+    for outcomes in run_plan_groups(groups, mode=runtime, executor=executor):
+        point = _point_results(outcomes, task)
         for name in algorithms:
             series[name].append(point[name])
     return SweepResult(
@@ -255,9 +263,10 @@ def _budget_sweep(
     budget sweep: one aggregation per (repetition, fold) refit at every
     budget, so FM's share of the sweep costs one data pass instead of one
     per epsilon — and under the default batched runtime all of those
-    refits are one stacked solve.  The other algorithms keep the
-    per-point loop (their fits genuinely depend on epsilon-specific
-    passes), batched per sweep point.
+    refits are one stacked solve, run in the caller.  The other
+    algorithms keep one group per budget point (their fits genuinely
+    depend on epsilon-specific passes), all points dispatched as one
+    executor map by :func:`_accuracy_sweep`.
     """
     algorithms = _algorithms_for(task)
     if not engine:

@@ -16,9 +16,11 @@ repetitions at a time, and run either through the batched tensor kernels
 through the masked batched Newton) or cell by cell as the reference oracle.
 All paths produce bitwise-identical scores at any tiling and on any
 executor; ``runtime="percell"`` exists to prove it and to time the
-baseline.  :func:`_evaluate_algorithms` additionally runs a whole algorithm
-panel as one group — shared prepared-data cache, merged cross-algorithm
-stacked solves — still bit-identical to evaluating each algorithm alone.
+baseline.  :func:`_plan_algorithms` plans a whole algorithm panel as one
+group — shared prepared-data cache, merged cross-algorithm stacked solves —
+still bit-identical to evaluating each algorithm alone;
+:func:`_evaluate_algorithms` runs one such group, and a sweep runs all of
+its points' groups as one :func:`~repro.runtime.run_plan_groups` map.
 
 Randomness plumbing: each (repetition, fold, algorithm) cell derives its own
 RNG substream keyed by position, so results are reproducible and algorithms
@@ -66,6 +68,7 @@ from ..runtime import (
     algorithm_stream_key,
     plan_cells,
     plan_cells_tiled,
+    TiledPlan,
     run_plan,
     run_plan_group,
     single_blas_thread,
@@ -192,9 +195,9 @@ def _evaluate_algorithm(
         runtime kernels; ``"percell"`` forces the per-cell reference path.
         Scores are bitwise identical either way.
     executor:
-        Where parallel work runs: per-cell work (non-batchable baselines,
-        or everything under ``runtime="percell"``) and, with several
-        tiles, whole batched tiles.
+        Where the work units run: one batched unit per tile and one unit
+        per fold of a non-batchable baseline (of every algorithm under
+        ``runtime="percell"``).
     tile_size:
         ``None`` plans eagerly; an integer bounds the resident set to that
         many repetitions per tile.  Scores are bitwise identical at every
@@ -434,6 +437,67 @@ def _fm_budget_sweep_engine(
     }
 
 
+def _plan_algorithms(
+    algorithms: Sequence[str],
+    dataset: CensusDataset,
+    task: Task,
+    dims: int,
+    epsilon: float,
+    preset: ScalePreset = DEFAULT,
+    sampling_rate: float = 1.0,
+    seed: int = 0,
+    *,
+    stream_version: int,
+    tile_size: int | None = None,
+    prepared_cache: PreparedDataCache | None = None,
+) -> list[TiledPlan]:
+    """Plan one sweep point's algorithm panel as a group (nothing runs yet).
+
+    All algorithms plan over one shared
+    :class:`~repro.runtime.PreparedDataCache` — each repetition's prepared
+    arrays (and, where training splits coincide, their Gram/moment blocks)
+    materialize once for the whole panel instead of once per algorithm.
+
+    The group always plans **tiled**: a group holds every algorithm's plan
+    at once, so eager planning would multiply the peak resident set by the
+    panel size whenever repetitions cannot share prepared arrays (any
+    subsampled preset or sampling rate < 1).  With ``tile_size=None``
+    residency is bounded at one repetition per algorithm — the
+    minimal-memory schedule; a larger ``tile_size`` trades memory for
+    fewer, larger units.  ``prepared_cache`` defaults to a fresh cache; a
+    session passes its persistent one.
+    """
+    cache = PreparedDataCache() if prepared_cache is None else prepared_cache
+    return [
+        plan_cells_tiled(
+            name,
+            dataset,
+            task=task,
+            dims=dims,
+            epsilons=[epsilon],
+            preset=preset,
+            sampling_rate=sampling_rate,
+            seed=seed,
+            tile_size=1 if tile_size is None else tile_size,
+            stream_version=stream_version,
+            prepared_cache=cache,
+        )
+        for name in algorithms
+    ]
+
+
+def _point_results(
+    outcomes: Sequence[PlanResult], task: Task
+) -> dict[str, EvaluationResult]:
+    """One planned point's run outcomes as harness results keyed by name."""
+    return {
+        outcome.plan.algorithm: _result_for_epsilon(
+            outcome, outcome.plan.algorithm, task, outcome.plan.epsilons[0]
+        )
+        for outcome in outcomes
+    }
+
+
 def _evaluate_algorithms(
     algorithms: Sequence[str],
     dataset: CensusDataset,
@@ -452,45 +516,16 @@ def _evaluate_algorithms(
 ) -> dict[str, EvaluationResult]:
     """Evaluate several algorithms at one sweep point; keyed by name.
 
-    All algorithms plan over one shared
-    :class:`~repro.runtime.PreparedDataCache` — each repetition's prepared
-    arrays (and, where training splits coincide, their Gram/moment blocks)
-    materialize once for the whole panel instead of once per algorithm —
-    and execute as one :func:`~repro.runtime.run_plan_group`, which merges
-    the quadratic algorithms' closed-form solves into one stacked LAPACK
-    call.  Results are bitwise identical to calling
-    :func:`_evaluate_algorithm` per name (asserted by the runtime suite);
-    only the wall-clock and peak memory differ.
-
-    The grouped path always plans **tiled**: a group holds every
-    algorithm's plan at once, so eager planning would multiply the peak
-    resident set by the panel size whenever repetitions cannot share
-    prepared arrays (any subsampled preset or sampling rate < 1).  With
-    ``tile_size=None`` residency is bounded at one repetition per
-    algorithm — the minimal-memory schedule; a larger ``tile_size``
-    trades memory for fewer, larger dispatches.  ``prepared_cache``
-    defaults to a fresh per-call cache; a session passes its persistent
-    one.
+    Plans the panel with :func:`_plan_algorithms` and runs it as one
+    :func:`~repro.runtime.run_plan_group`, which merges the quadratic
+    algorithms' closed-form solves into one stacked LAPACK call.  Results
+    are bitwise identical to calling :func:`_evaluate_algorithm` per name
+    (asserted by the runtime suite); only the wall-clock and peak memory
+    differ.
     """
-    cache = PreparedDataCache() if prepared_cache is None else prepared_cache
-    plans = [
-        plan_cells_tiled(
-            name,
-            dataset,
-            task=task,
-            dims=dims,
-            epsilons=[epsilon],
-            preset=preset,
-            sampling_rate=sampling_rate,
-            seed=seed,
-            tile_size=1 if tile_size is None else tile_size,
-            stream_version=stream_version,
-            prepared_cache=cache,
-        )
-        for name in algorithms
-    ]
-    outcomes = run_plan_group(plans, mode=runtime, executor=executor)
-    return {
-        name: _result_for_epsilon(outcome, name, task, float(epsilon))
-        for name, outcome in zip(algorithms, outcomes)
-    }
+    plans = _plan_algorithms(
+        algorithms, dataset, task, dims, epsilon, preset, sampling_rate, seed,
+        stream_version=stream_version, tile_size=tile_size,
+        prepared_cache=prepared_cache,
+    )
+    return _point_results(run_plan_group(plans, mode=runtime, executor=executor), task)

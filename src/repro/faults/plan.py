@@ -206,8 +206,7 @@ class RetryPolicy:
     behaviour exactly: the first pool failure propagates.
 
     ``tile_timeout`` (seconds per work item, ``None`` = wait forever)
-    routes process maps through the per-item submit path so a hung
-    worker can be detected, killed and its item retried.
+    lets process maps detect a hung worker, kill it and retry its item.
 
     ``failure_mode`` decides what an exhausted retry budget means:
     ``"raise"`` propagates :class:`~repro.exceptions.ExecutorBrokenError`

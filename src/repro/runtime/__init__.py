@@ -13,16 +13,17 @@ into a three-stage pipeline:
    ``(B, d, d)`` ``np.linalg`` solves and a masked batched Newton —
    bitwise identical to the scalar per-cell solves — behind the
    :func:`canonical_array` float64 input gate,
-3. :mod:`~repro.runtime.executor` spreads the residual non-batchable
-   baselines — and, for tiled plans, whole batched tiles — over serial /
-   thread / forked-process executors.  They are the only parallelism:
+3. :mod:`~repro.runtime.executor` spreads the work units — one batched
+   unit per tile plus one unit per fold of each non-batchable baseline —
+   over serial / thread / forked-process executors.  They are the only parallelism:
    :mod:`~repro.runtime.blas` pins numpy's BLAS to one thread inside the
    entry points below.
 
 :func:`run_plan` ties the stages together (and provides the per-cell
 reference oracle the equivalence tests assert against);
 :func:`run_plan_group` executes several algorithms' plans with merged
-cross-algorithm stacked solves.
+cross-algorithm stacked solves, and :func:`run_plan_groups` runs many such
+groups (a whole sweep) as one cost-ordered executor map.
 """
 
 from .blas import single_blas_thread
@@ -61,7 +62,7 @@ from .plan import (
     plan_cells,
     plan_cells_tiled,
 )
-from .runner import PlanResult, run_plan, run_plan_group
+from .runner import PlanResult, run_plan, run_plan_group, run_plan_groups
 
 __all__ = [
     "single_blas_thread",
@@ -97,4 +98,5 @@ __all__ = [
     "PlanResult",
     "run_plan",
     "run_plan_group",
+    "run_plan_groups",
 ]

@@ -1,13 +1,13 @@
-"""Pluggable executors for per-cell work and whole batched tiles.
+"""Pluggable executors for the runtime's work units: folds and batched tiles.
 
 DPME, FP and the other synthetic-data baselines cannot be expressed as
 stacked tensor solves — each fit is its own pipeline of histogram building,
 noisy sampling and iterative optimization.  The runtime therefore runs them
-per cell through an executor.  Since the tiled runtime
-(:class:`~repro.runtime.plan.TiledPlan`), the same executors also dispatch
-**whole batched tiles**: the work item is then a tile index, the work
+per cell through an executor.  The same executors also dispatch the
+batched kernels of a :class:`~repro.runtime.plan.TiledPlan` tile: the work
 function materializes that tile's prepared arrays and runs its stacked
-kernels, and only the lightweight per-cell score/time lists travel back.
+kernels (or one generic fold), and only the lightweight per-cell
+score/time lists travel back.
 
 ``SerialExecutor``
     The reference: items run in submission order on the calling thread.
@@ -47,13 +47,13 @@ instead wants one pool reused across many calls, so this module also ships
 ``PooledProcessExecutor``
     A lazily created, persistent ``fork``-context process pool.  Because
     its workers outlive any single call, work **cannot** reach them by
-    fork-time inheritance — each ``map`` pickles the work callable (and
-    its payload) instead.  The runner's work objects are picklable by
-    design (module-level callables over picklable plans); the trade is
-    per-call serialization instead of per-call pool spin-up, which wins
-    whenever calls are frequent relative to their payload size (the
-    serving workload Sessions exist for) and is measured by
-    ``benchmarks/bench_harness_scaling.py``.
+    fork-time inheritance.  Each ``map`` pickles the work callable (and
+    its payload) **once**, into a private temp file (shared memory when
+    available); every item is then submitted on its own as
+    ``(path, key, item)``, and a worker loads the work the first time it
+    sees the map's key and keeps it resident for the rest of the map.
+    Items are dispatched one at a time in input order, so a caller that
+    orders its items by expected cost gets largest-first scheduling.
 
 Both pooled executors are context managers and idempotently ``close()``-
 able; a closed executor transparently re-creates its pool on next use.
@@ -77,19 +77,17 @@ Merging happens outside the timed kernels and never touches results, so
 the bitwise contract above is unaffected.
 
 Self-healing (:mod:`repro.faults`): both process executors run under a
-:class:`~repro.faults.RetryPolicy`.  On the default fault-free path the
-only change from the historical executors is that a
-``BrokenProcessPool`` no longer kills the whole map: the completed
-prefix is kept, the pool is rebuilt (bounded exponential backoff,
-``max_retries`` rounds), and only the unfinished items re-run — which is
-bitwise-safe because every cell's substream is keyed by ``(seed, tag)``,
-never by where or when it executes.  When a fault injector is active or
-a ``tile_timeout`` is set, maps route through a per-item submit path
-that can additionally detect hung workers (kill + rebuild + retry) and
-checksum-verify pickled result envelopes (corrupt payloads retry like
+:class:`~repro.faults.RetryPolicy`.  A ``BrokenProcessPool`` never kills
+the whole map: completed items are kept, the pool is rebuilt (bounded
+exponential backoff, ``max_retries`` unproductive rounds), and only the
+unfinished items re-run — which is bitwise-safe because every cell's
+substream is keyed by ``(seed, tag)``, never by where or when it
+executes.  Per-item collection also detects hung workers (``tile_timeout``
+exceeded: kill + rebuild + retry), and with an active fault injector
+results come home in checksummed envelopes (corrupt payloads retry like
 crashes).  Exhausted retries raise
 :class:`~repro.exceptions.ExecutorBrokenError` carrying the completed
-prefix, which the runner can turn into a thread/serial fallback.  Every
+items, which the runner can turn into a thread/serial fallback.  Every
 crash, timeout, rebuild, retry and corruption is counted on the active
 recorder under ``executor.*``.
 """
@@ -102,6 +100,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
@@ -222,12 +221,52 @@ def _injector_for(plan_text: str) -> FaultInjector:
     return injector
 
 
-def _pooled_cell_faulted(work: Callable, plan_text: str, item, index: int, attempt: int):
-    """Submit-path work unit for pickled-work pools: faults around one item."""
-    injector = _injector_for(plan_text)
-    if not injector.executor_faults_active:
+#: Directory of the per-map work files: shared memory when the platform
+#: has it, so shipping the work is a memory copy rather than disk I/O.
+_WORK_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else None
+_WORK_PREFIX = "repro-work-"
+_WORK_KEYS = itertools.count()
+
+#: Worker side: ``{key: work}`` of the map this worker last served — at
+#: most one entry, so a worker never holds two maps' work.  A rebuilt pool
+#: forks from the parent, whose registry is always empty.
+_RESIDENT: dict = {}
+
+
+def _write_work(work: Callable) -> tuple[str, int]:
+    """Pickle ``work`` once into a private temp file; return path and size.
+
+    A full or missing shared-memory directory falls back to the default
+    temp directory; the file never outlives a failed write.
+    """
+    for directory in (_WORK_DIR, None) if _WORK_DIR else (None,):
+        fd, path = tempfile.mkstemp(prefix=_WORK_PREFIX, suffix=".pkl", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                pickle.dump(work, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                return path, handle.tell()
+        except BaseException as err:
+            os.unlink(path)
+            if directory is None or not isinstance(err, OSError):
+                raise
+
+
+def _resident_call(path: str, key, item, faults):
+    """Worker side: run one item, loading the map's work once per worker.
+
+    ``faults`` is ``(plan_text, index, attempt)`` when an injector is
+    active (the fault sites then wrap the item), else ``None``.
+    """
+    work = _RESIDENT.get(key)
+    if work is None:
+        _RESIDENT.clear()  # drop the previous map's work before loading
+        with open(path, "rb") as handle:
+            work = pickle.load(handle)
+        _RESIDENT[key] = work
+    if faults is None:
         return work(item)
-    return _apply_faults(work, item, injector, index, attempt)
+    plan_text, index, attempt = faults
+    return _apply_faults(work, item, _injector_for(plan_text), index, attempt)
 
 
 def _terminate_workers(pool) -> None:
@@ -258,10 +297,12 @@ def _resilient_collect(
     hangs (``tile_timeout`` exceeded) and corrupt result envelopes mark
     their items failed and — for the first two — condemn the pool, which
     ``discard_pool`` tears down (killing workers when one is hung) so the
-    next round starts on a fresh fork.  Genuine exceptions raised *by the
-    work* propagate immediately: a deterministic bug would fail every
-    retry identically, and masking it as an executor failure would turn
-    a wrong answer into a slow wrong answer.
+    next round starts on a fresh fork; items of a condemned pool that
+    already finished are kept, the rest fail without further waiting.
+    Genuine exceptions raised *by the work* propagate immediately (the
+    round's unstarted items are cancelled): a deterministic bug would fail
+    every retry identically, and masking it as an executor failure would
+    turn a wrong answer into a slow wrong answer.
 
     ``retry.max_retries`` bounds consecutive rounds that complete zero
     items; a round with any progress keeps the loop alive, so a pool
@@ -292,32 +333,35 @@ def _resilient_collect(
         completed_this_round = 0
         failed: list[int] = [i for i in pending if i not in futures]
         hung = False
-        for i in pending:
-            future = futures.get(i)
-            if future is None:
-                continue
-            if broke:
-                # The pool is condemned; harvest items that finished
-                # before the break without blocking on the rest.
-                if not future.done():
+        try:
+            for i in pending:
+                future = futures.get(i)
+                if future is None:
+                    continue
+                if (broke or hung) and not future.done():
+                    # The pool is condemned; harvest items that finished
+                    # before the break without blocking on the rest.
                     failed.append(i)
                     continue
-            try:
-                timeout = None if broke else retry.tile_timeout
-                results[i] = _maybe_unseal(future.result(timeout=timeout))
-                done[i] = True
-                completed_this_round += 1
-            except concurrent.futures.TimeoutError:
-                recorder.counter("executor.timeouts")
-                failed.append(i)
-                hung = True
-            except _CorruptPayloadError:
-                recorder.counter("executor.payload_corruptions")
-                failed.append(i)
-            except BrokenProcessPool:
-                recorder.counter("executor.worker_crashes")
-                failed.append(i)
-                broke = True
+                try:
+                    results[i] = _maybe_unseal(future.result(timeout=retry.tile_timeout))
+                    done[i] = True
+                    completed_this_round += 1
+                except concurrent.futures.TimeoutError:
+                    recorder.counter("executor.timeouts")
+                    failed.append(i)
+                    hung = True
+                except _CorruptPayloadError:
+                    recorder.counter("executor.payload_corruptions")
+                    failed.append(i)
+                except BrokenProcessPool:
+                    recorder.counter("executor.worker_crashes")
+                    failed.append(i)
+                    broke = True
+        except BaseException:
+            for future in futures.values():
+                future.cancel()
+            raise
         if broke or hung:
             discard_pool(kill=hung)
             recorder.counter("executor.pool_rebuilds")
@@ -383,14 +427,8 @@ _SHARED_WORK: dict[int, tuple[Callable, Sequence]] = {}
 _SHARED_TOKENS = itertools.count()
 
 
-def _forked_cell(token_and_index: tuple[int, int]):
-    token, index = token_and_index
-    work, items = _SHARED_WORK[token]
-    return work(items[index])
-
-
-def _forked_cell_faulted(payload: tuple[int, int, int]):
-    """Submit-path work unit for forked pools: faults around one item.
+def _forked_cell(payload: tuple[int, int, int]):
+    """Work unit for forked pools: one item, under the fault sites if active.
 
     The injector reaches the child by fork-time inheritance of the
     active-injector slot (pools are built inside the session's
@@ -415,12 +453,11 @@ class ProcessExecutor(CellExecutor):
     Results must therefore be kept lightweight — the tiled runner returns
     score/time lists, never prepared arrays.
 
-    Self-healing: a ``BrokenProcessPool`` keeps the completed prefix,
+    Self-healing: a ``BrokenProcessPool`` keeps the completed items,
     rebuilds the pool and re-runs only unfinished items, bounded by
-    ``retry.max_retries`` (0 restores fail-fast).  With an active fault
-    injector or a ``tile_timeout``, items run through the per-item
-    submit path (hang detection + envelope checksums) instead of the
-    chunk-free fast path.
+    ``retry.max_retries`` (0 restores fail-fast); per-item collection
+    also detects hung workers, and an active fault injector adds envelope
+    checksums.
     """
 
     name = "process"
@@ -441,7 +478,6 @@ class ProcessExecutor(CellExecutor):
         recorder = active_recorder()
         if recorder.recording:
             work = _TelemetryWork(work, recorder.mode)
-        injector = active_injector()
         token = next(_SHARED_TOKENS)
         # The token must stay registered until every retry round is done
         # (rebuilt pools fork afresh and re-inherit the registry), and must
@@ -449,58 +485,15 @@ class ProcessExecutor(CellExecutor):
         # raising — or the registry grows once per failed map.
         _SHARED_WORK[token] = (work, items)
         try:
-            if injector.executor_faults_active or self.retry.tile_timeout is not None:
-                results = self._map_submit(context, token, len(items), recorder)
-            else:
-                results = self._map_fast(context, token, len(items), recorder)
+            results = self._map_submit(context, token, len(items), recorder)
         finally:
             del _SHARED_WORK[token]
         if recorder.recording:
             results = _merge_worker_results(results, recorder)
         return results
 
-    def _map_fast(self, context, token: int, n_items: int, recorder) -> list:
-        """The fault-free path: plain ``pool.map`` plus rebuild-and-resume."""
-        results: list = [None] * n_items
-        start = 0
-        rebuilds = 0
-        while start < n_items:
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=context
-            )
-            yielded = 0
-            clean = False
-            try:
-                payloads = [(token, i) for i in range(start, n_items)]
-                for result in pool.map(_forked_cell, payloads):
-                    results[start + yielded] = result
-                    yielded += 1
-                clean = True
-                start = n_items
-            except BrokenProcessPool:
-                # Results stream in input order, so the yielded prefix is
-                # complete; everything after re-runs on a fresh pool
-                # (bitwise-safe: substreams are keyed, not positional).
-                start += yielded
-                recorder.counter("executor.worker_crashes")
-                recorder.counter("executor.pool_rebuilds")
-                if rebuilds >= self.retry.max_retries:
-                    raise ExecutorBrokenError(
-                        "process pool broke",
-                        completed={i: results[i] for i in range(start)},
-                        pending=tuple(range(start, n_items)),
-                        failure_mode=self.retry.failure_mode,
-                    ) from None
-                recorder.counter("executor.retries")
-                with recorder.span("executor.retry", pending=n_items - start):
-                    time.sleep(self.retry.delay(rebuilds))
-                rebuilds += 1
-            finally:
-                pool.shutdown(wait=clean, cancel_futures=not clean)
-        return results
-
     def _map_submit(self, context, token: int, n_items: int, recorder) -> list:
-        """The chaos path: per-item futures with timeout + envelope checks."""
+        """Per-item futures, collected with timeout + envelope checks."""
         live: dict = {"pool": None}
 
         def ensure_pool():
@@ -519,7 +512,7 @@ class ProcessExecutor(CellExecutor):
             pool.shutdown(wait=False, cancel_futures=True)
 
         def submit(pool, index: int, attempt: int):
-            return pool.submit(_forked_cell_faulted, (token, index, attempt))
+            return pool.submit(_forked_cell, (token, index, attempt))
 
         try:
             return _resilient_collect(
@@ -592,21 +585,22 @@ class PooledProcessExecutor(CellExecutor):
     Work reaches the long-lived workers **by pickle** — the COW trick of
     :class:`ProcessExecutor` only shares state that existed before the
     fork, and a reusable pool forks once.  Work callables must therefore
-    be picklable (the runner's are); chunking pickles each callable about
-    ``max_workers`` times per call rather than once per item.  Results are
-    still position-assigned (``map`` output order == input order), and
-    numpy arrays survive pickling bit-exactly, so scores are bitwise
-    identical to every other executor.
+    be picklable (the runner's are).  Each ``map`` pickles its callable
+    exactly once, into a private temp file that is removed when the map
+    ends; items are submitted one by one as ``(path, key, item)``, and each
+    worker unpickles the work on its first item of the map and keeps it
+    resident (one map's work per worker).  Results are position-assigned
+    (``map`` output order == input order), and numpy arrays survive
+    pickling bit-exactly, so scores are bitwise identical to every other
+    executor.
 
     On platforms without ``fork`` the executor degrades to serial
     execution, like its one-shot sibling.
 
     Self-healing mirrors :class:`ProcessExecutor`: a dead worker no
-    longer poisons the call — the carcass is dropped, a fresh pool forks,
-    and only unfinished items re-run (bounded by ``retry.max_retries``;
-    0 restores the historical drop-and-raise).  Chaos and timeout maps
-    route through the per-item submit path, where work reaches workers
-    as pickled ``(work, plan_text, item, index, attempt)`` submissions
+    longer poisons the call — the carcass is dropped, a fresh pool forks
+    (its workers reload the work from the file), and only unfinished items
+    re-run.  With an active fault injector the fault sites wrap each item
     and results come home in checksummed envelopes.
     """
 
@@ -632,6 +626,15 @@ class PooledProcessExecutor(CellExecutor):
             )
         return self._pool
 
+    def _discard_pool(self, kill: bool) -> None:
+        """Drop a condemned pool without waiting (killing hung workers)."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if kill:
+            _terminate_workers(pool)
+        pool.shutdown(wait=False, cancel_futures=True)
+
     def map(self, work: Callable, items: Sequence) -> list:
         if len(items) <= 1:
             return [work(item) for item in items]
@@ -644,79 +647,28 @@ class PooledProcessExecutor(CellExecutor):
         if recorder.recording:
             recorder.counter("pool.reused" if had_pool else "pool.created")
             work = _TelemetryWork(work, recorder.mode)
-            nbytes = len(pickle.dumps(work))
-            recorder.counter("process.pickled_bytes", nbytes)
-            recorder.gauge("process.pickled_bytes_per_call", nbytes)
-        injector = active_injector()
-        if injector.executor_faults_active or self.retry.tile_timeout is not None:
-            results = self._map_submit(work, items, injector, recorder)
-        else:
-            results = self._map_fast(work, items, recorder)
+        path, nbytes = _write_work(work)
+        try:
+            if recorder.recording:
+                recorder.counter("process.pickled_bytes", nbytes)
+                recorder.gauge("process.pickled_bytes_per_call", nbytes)
+            injector = active_injector()
+            plan_text = injector.describe() if injector.executor_faults_active else None
+            key = (os.getpid(), next(_WORK_KEYS))
+
+            def submit(pool, index: int, attempt: int):
+                faults = None if plan_text is None else (plan_text, index, attempt)
+                return pool.submit(_resident_call, path, key, items[index], faults)
+
+            results = _resilient_collect(
+                len(items), self._ensure_pool, self._discard_pool, submit,
+                self.retry, recorder,
+            )
+        finally:
+            os.unlink(path)
         if recorder.recording:
             results = _merge_worker_results(results, recorder)
         return results
-
-    def _map_fast(self, work: Callable, items: Sequence, recorder) -> list:
-        """The fault-free path: chunked ``pool.map`` plus rebuild-and-resume."""
-        n_items = len(items)
-        results: list = [None] * n_items
-        start = 0
-        rebuilds = 0
-        while start < n_items:
-            pool = self._ensure_pool()
-            chunksize = -(-(n_items - start) // self.max_workers)
-            yielded = 0
-            try:
-                for result in pool.map(work, items[start:], chunksize=chunksize):
-                    results[start + yielded] = result
-                    yielded += 1
-                start = n_items
-            except BrokenProcessPool:
-                # A dead worker poisons the whole persistent pool.  Keep
-                # the in-order completed prefix, drop the carcass, fork a
-                # fresh pool and resume from the first unfinished item.
-                start += yielded
-                self.close()
-                recorder.counter("executor.worker_crashes")
-                recorder.counter("executor.pool_rebuilds")
-                if rebuilds >= self.retry.max_retries:
-                    raise ExecutorBrokenError(
-                        "persistent process pool broke",
-                        completed={i: results[i] for i in range(start)},
-                        pending=tuple(range(start, n_items)),
-                        failure_mode=self.retry.failure_mode,
-                    ) from None
-                recorder.counter("executor.retries")
-                with recorder.span("executor.retry", pending=n_items - start):
-                    time.sleep(self.retry.delay(rebuilds))
-                rebuilds += 1
-        return results
-
-    def _map_submit(
-        self, work: Callable, items: Sequence, injector: FaultInjector, recorder
-    ) -> list:
-        """The chaos path: per-item pickled submissions with fault hooks."""
-        plan_text = injector.describe()
-
-        def ensure_pool():
-            return self._ensure_pool()
-
-        def discard_pool(kill: bool) -> None:
-            pool, self._pool = self._pool, None
-            if pool is None:
-                return
-            if kill:
-                _terminate_workers(pool)
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        def submit(pool, index: int, attempt: int):
-            return pool.submit(
-                _pooled_cell_faulted, work, plan_text, items[index], index, attempt
-            )
-
-        return _resilient_collect(
-            len(items), ensure_pool, discard_pool, submit, self.retry, recorder
-        )
 
     def close(self) -> None:
         """Shut the pool down; the next ``map`` builds a fresh one.

@@ -18,34 +18,34 @@ Two execution modes over the same cells:
     held-out scoring excluded, matching the per-cell fit-only clock)
     instead of an individual fit time.
 
-Three plan shapes feed those modes:
+Plans feed those modes in three shapes:
 
-* a :class:`~repro.runtime.plan.CellPlan` runs through :func:`run_plan`
-  exactly as in the eager runtime;
+* a :class:`~repro.runtime.plan.CellPlan` holds every cell eagerly;
 * a :class:`~repro.runtime.plan.TiledPlan` materializes bounded repetition
-  tiles on demand — each tile executes as its own stacked batch, and with a
-  thread/process executor whole tiles are dispatched in parallel (the
-  forked workers materialize their tiles from the copy-on-write-shared raw
-  dataset, so the parent never holds more than its own tile).  Tile results
-  reduce in tile order, which makes any tiling and any executor bitwise
-  identical to the untiled serial run;
-* :func:`run_plan_group` executes several algorithms' plans as one group:
-  plans share a :class:`~repro.runtime.plan.PreparedDataCache`, and the
-  quadratic-kernel plans' final closed-form solves are **merged into one
-  stacked LAPACK call across algorithms** — bit-safe because the ``solve``
-  gufunc factors each stacked matrix independently, so a cell's solution
-  does not depend on which other cells share its batch.
+  tiles on demand, where the work runs — a process worker builds its tiles
+  from the shipped raw dataset, so the parent then holds none;
+* a *group* is several algorithms' plans at one sweep point: plans share a
+  :class:`~repro.runtime.plan.PreparedDataCache`, and the quadratic-kernel
+  plans' final closed-form solves are **merged into one stacked LAPACK
+  call across algorithms** — bit-safe because the ``solve`` gufunc factors
+  each stacked matrix independently, so a cell's solution does not depend
+  on which other cells share its batch.
 
-Plans whose kernel class is ``generic`` (DPME, FP, ...) run per cell in
-either mode, optionally spread over a :mod:`~repro.runtime.executor`
-(serial / thread / process).
+Every entry point funnels into :func:`run_plan_groups`, which splits any
+number of groups into small units — per (group, tile) one *batched* unit
+(the quadratic and Newton plans) and one unit per fold of each generic
+plan (DPME, FP, ...; every plan under ``"percell"``) — and runs them all as
+one map on a :mod:`~repro.runtime.executor` (serial / thread / process),
+largest expected cost first.  Results reduce in (group, tile, plan, fold)
+order, which makes any tiling, executor and dispatch order bitwise
+identical to the untiled serial run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,7 +77,7 @@ from .plan import (
     TiledPlan,
 )
 
-__all__ = ["PlanResult", "run_plan", "run_plan_group"]
+__all__ = ["PlanResult", "run_plan", "run_plan_group", "run_plan_groups"]
 
 #: Upper bound on the bytes a single stacked Newton chunk may hold; chunking
 #: only bounds memory — it cannot change any cell's arithmetic.
@@ -240,7 +240,9 @@ def _mapped(executor: CellExecutor, work, items) -> list:
         for i, result in err.completed.items():
             results[i] = result
         pending = list(err.pending)
-        for stage in (ThreadExecutor(), SerialExecutor()):
+        # The thread stage keeps the failed executor's worker count.
+        workers = getattr(executor, "max_workers", None)
+        for stage in (ThreadExecutor(workers), SerialExecutor()):
             recorder.counter("executor.fallbacks")
             with recorder.span(
                 "executor.fallback", to=stage.name, pending=len(pending)
@@ -260,58 +262,38 @@ def _mapped(executor: CellExecutor, work, items) -> list:
 # ----------------------------------------------------------------------
 # Reference oracle
 # ----------------------------------------------------------------------
-@dataclass
-class _PercellFoldWork:
-    """Fit/score one fold of the plan per call — the per-cell work unit.
-
-    A module-level callable (not a closure) so persistent process pools
-    can ship it by pickle; items are fold *indices*, which keeps the heavy
-    plan pickled once per chunk rather than once per item.  The one-shot
-    COW executors never pickle it at all.
-    """
-
-    plan: CellPlan
-
-    def __call__(self, index: int) -> tuple[list[float], list[float]]:
-        plan, fold = self.plan, self.plan.folds[index]
-        recorder = active_recorder()  # looked up per call: never pickled
-        gen = plan.substream(fold)
-        X_train, y_train = fold.train_arrays()
-        X_test, y_test = fold.test_arrays()
-        cell_scores, cell_times = [], []
-        for epsilon in plan.epsilons:
-            model = make_algorithm(
-                plan.algorithm,
-                plan.task,
-                epsilon=epsilon,
-                rng=gen,
-                **plan.algorithm_kwargs,
-            )
-            with recorder.span(
-                "cell.fit", algorithm=plan.algorithm, epsilon=epsilon
-            ) as span:
-                model.fit(X_train, y_train)
-            cell_times.append(span.seconds)
-            cell_scores.append(model.score(X_test, y_test))
-        return cell_scores, cell_times
-
-
-def _run_percell(plan: CellPlan, executor: CellExecutor) -> PlanResult:
-    """Fit and score every cell independently (the reference path).
+def _run_fold(plan: CellPlan, index: int) -> tuple[dict, dict, int]:
+    """Fit and score every epsilon cell of one fold (the per-cell path).
 
     Each fold derives one generator, consumed sequentially across the
     epsilon axis — for a single-budget plan this is exactly the historical
     harness cell; for a multi-budget plan it matches the documented
     loop-equivalence of :meth:`repro.engine.EpsilonSweepEngine.sweep`.
+    Every fit is timed alone.  Returns the per-epsilon scores and fit
+    times and the fold's training size.
     """
-    outcomes = _mapped(executor, _PercellFoldWork(plan), range(len(plan.folds)))
+    fold = plan.folds[index]
+    recorder = active_recorder()
+    gen = plan.substream(fold)
+    X_train, y_train = fold.train_arrays()
+    X_test, y_test = fold.test_arrays()
     scores = {e: [] for e in plan.epsilons}
     fit_seconds = {e: [] for e in plan.epsilons}
-    for cell_scores, cell_times in outcomes:
-        for e, s, t in zip(plan.epsilons, cell_scores, cell_times):
-            scores[e].append(s)
-            fit_seconds[e].append(t)
-    return PlanResult(plan=plan, mode="percell", scores=scores, fit_seconds=fit_seconds)
+    for epsilon in plan.epsilons:
+        model = make_algorithm(
+            plan.algorithm,
+            plan.task,
+            epsilon=epsilon,
+            rng=gen,
+            **plan.algorithm_kwargs,
+        )
+        with recorder.span(
+            "cell.fit", algorithm=plan.algorithm, epsilon=epsilon
+        ) as span:
+            model.fit(X_train, y_train)
+        fit_seconds[epsilon].append(span.seconds)
+        scores[epsilon].append(model.score(X_test, y_test))
+    return scores, fit_seconds, fold.n_train
 
 
 # ----------------------------------------------------------------------
@@ -645,21 +627,177 @@ def _replicated_scores(plan: CellPlan, coefs: np.ndarray) -> dict[float, list[fl
 
 
 # ----------------------------------------------------------------------
+# Work units
+# ----------------------------------------------------------------------
+def _is_batched(plan: CellPlan | TiledPlan, mode: str) -> bool:
+    """Whether a plan runs inside its tile's batched unit (else per fold)."""
+    if mode != "batched":
+        return False
+    key = (plan.algorithm.lower(), plan.kernel)
+    return key in _QUAD_KINDS or key == ("noprivacy", KERNEL_NEWTON)
+
+
+def _run_batched_plans(plans: Sequence[CellPlan]) -> list[PlanResult]:
+    """The batched plans of one tile: merged quadratic solves, then Newton."""
+    results: list[PlanResult | None] = [None] * len(plans)
+    quad = [
+        i for i, plan in enumerate(plans) if (plan.algorithm.lower(), plan.kernel) in _QUAD_KINDS
+    ]
+    for i, outcome in zip(quad, _run_quadratic_plans([plans[i] for i in quad])):
+        results[i] = outcome
+    for i, plan in enumerate(plans):
+        if results[i] is None:
+            scores, kernel_fit_seconds = _run_newton_batched(plan)
+            share = kernel_fit_seconds / max(1, plan.n_cells)
+            fit_seconds = {e: [share] * len(plan.folds) for e in plan.epsilons}
+            results[i] = PlanResult(
+                plan=plan, mode="batched", scores=scores, fit_seconds=fit_seconds
+            )
+    return results  # type: ignore[return-value]
+
+
+class _Unit(NamedTuple):
+    """One dispatched item: a tile's batched kernels (``plan is None``) or
+    one fold of one plan's tile."""
+
+    group: int
+    tile: int
+    plan: int | None = None
+    fold: int | None = None
+
+
+class _GroupsWork:
+    """Execute one :class:`_Unit` of a multi-group run, wherever it lands.
+
+    Module-level and picklable: it carries only the plans — a
+    :class:`TiledPlan` is its dataset plus parameters, and a carried
+    ``PreparedDataCache`` pickles as a fresh one — and materializes tiles
+    where it runs.  A one-entry memo keeps the last tile, so the folds of
+    one plan's tile materialize once per worker rather than once per fold
+    (executors pickle the work before any unit runs, so the memo ships
+    empty).  A unit returns ``{plan index: (scores, fit_seconds,
+    n_train)}``, lightweight lists only.
+    """
+
+    def __init__(self, groups: tuple[tuple, ...], mode: str) -> None:
+        self.groups = groups
+        self.mode = mode
+        self._memo: tuple[tuple[int, int] | None, dict[int, CellPlan]] = (None, {})
+
+    def _tile(self, group: int, tile: int, index: int) -> CellPlan:
+        plan = self.groups[group][index]
+        if isinstance(plan, CellPlan):
+            return plan
+        key, tiles = self._memo
+        if key != (group, tile):
+            tiles = {}
+            self._memo = ((group, tile), tiles)  # drops the previous tile first
+        if index not in tiles:
+            tiles[index] = plan.tile(tile)
+        return tiles[index]
+
+    def __call__(self, unit: _Unit) -> dict[int, tuple[dict, dict, int]]:
+        if unit.plan is not None:
+            return {unit.plan: _run_fold(self._tile(unit.group, unit.tile, unit.plan), unit.fold)}
+        indices = [
+            i for i, plan in enumerate(self.groups[unit.group]) if _is_batched(plan, self.mode)
+        ]
+        with active_recorder().span("plan.tile", group=unit.group, tile=unit.tile):
+            tiles = [self._tile(unit.group, unit.tile, i) for i in indices]
+            outcomes = _run_batched_plans(tiles)
+        return {
+            i: (outcome.scores, outcome.fit_seconds, tile.n_train)
+            for i, outcome, tile in zip(indices, outcomes, tiles)
+        }
+
+
+def _n_tiles(group: Sequence[CellPlan | TiledPlan]) -> int:
+    """The group's shared tile count (an eager group is one tile)."""
+    if all(isinstance(p, CellPlan) for p in group):
+        return 1
+    if not all(isinstance(p, TiledPlan) for p in group):
+        raise ExperimentError("cannot mix eager CellPlans and TiledPlans in one group")
+    boundaries = {(plan.n_reps, plan.tile_size) for plan in group}
+    if len(boundaries) > 1:
+        raise ExperimentError(
+            f"grouped tiled plans must share their tiling, got {sorted(boundaries)}"
+        )
+    return group[0].n_tiles
+
+
+def _plan_units(plan: CellPlan | TiledPlan, mode: str, g: int, t: int, p: int) -> list[_Unit]:
+    """The units holding plan ``p``'s cells of tile ``t``, in fold order.
+
+    A tile's fold count is known without materializing it.
+    """
+    if _is_batched(plan, mode):
+        return [_Unit(g, t)]
+    n_folds = (
+        len(plan.folds) if isinstance(plan, CellPlan)
+        else len(plan.tile_reps(t)) * plan.preset.folds
+    )
+    return [_Unit(g, t, p, f) for f in range(n_folds)]
+
+
+def _dispatch_rank(groups, unit: _Unit) -> tuple[int, float]:
+    """Expected cost, largest first: batched units, then folds by rising ε.
+
+    A histogram baseline's synthetic set grows as its budget falls, so the
+    smallest-ε folds are the longest.
+    """
+    if unit.plan is None:
+        return (0, 0.0)
+    return (1, min(groups[unit.group][unit.plan].epsilons))
+
+
+def _run_groups(
+    groups: list[list[CellPlan | TiledPlan]], mode: str, executor: CellExecutor
+) -> list[list[PlanResult]]:
+    """Plan every unit of every group, run them as one map, reduce in order."""
+    tiles = [_n_tiles(group) for group in groups]
+    units = dict.fromkeys(
+        unit
+        for g, group in enumerate(groups)
+        for t in range(tiles[g])
+        for p, plan in enumerate(group)
+        for unit in _plan_units(plan, mode, g, t, p)
+    )
+    ordered = sorted(units, key=lambda unit: _dispatch_rank(groups, unit))  # stable
+    work = _GroupsWork(tuple(tuple(group) for group in groups), mode)
+    outcome = dict(zip(ordered, _mapped(executor, work, ordered)))
+    results = []
+    for g, group in enumerate(groups):
+        group_results = []
+        for p, plan in enumerate(group):
+            scores = {e: [] for e in plan.epsilons}
+            fit_seconds = {e: [] for e in plan.epsilons}
+            n_train = 0
+            # tile, then fold order: where and when units ran cannot move a bit
+            for t in range(tiles[g]):
+                for unit in _plan_units(plan, mode, g, t, p):
+                    unit_scores, unit_times, n_train = outcome[unit][p]
+                    for e in unit_scores:
+                        scores[e].extend(unit_scores[e])
+                        fit_seconds[e].extend(unit_times[e])
+            group_results.append(
+                PlanResult(
+                    plan=plan,
+                    mode=mode,
+                    scores=scores,
+                    fit_seconds=fit_seconds,
+                    last_n_train=n_train,
+                )
+            )
+        results.append(group_results)
+    return results
+
+
+# ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def _run_batched_single(plan: CellPlan, executor: CellExecutor) -> PlanResult:
-    """Batched-mode dispatch for one eager plan."""
-    key = (plan.algorithm.lower(), plan.kernel)
-    if key in _QUAD_KINDS:
-        return _run_quadratic_plans([plan])[0]
-    if plan.kernel == KERNEL_NEWTON and key == ("noprivacy", KERNEL_NEWTON):
-        scores, kernel_fit_seconds = _run_newton_batched(plan)
-        share = kernel_fit_seconds / max(1, plan.n_cells)
-        fit_seconds = {e: [share] * len(plan.folds) for e in plan.epsilons}
-        return PlanResult(
-            plan=plan, mode="batched", scores=scores, fit_seconds=fit_seconds
-        )
-    return _run_percell(plan, executor)
+def _check_mode(mode: str) -> None:
+    if mode not in ("batched", "percell"):
+        raise ExperimentError(f"unknown runtime mode {mode!r}; use 'batched' or 'percell'")
 
 
 def run_plan(
@@ -673,31 +811,23 @@ def run_plan(
     ----------
     plan:
         The enumerated cells — an eager :class:`CellPlan` or a lazily
-        materializing :class:`TiledPlan` (whose tiles are executed in
-        index order, or dispatched whole across a thread/process executor;
-        results are bitwise identical either way).
+        materializing :class:`TiledPlan` (whose tiles materialize where
+        their units run; results are bitwise identical either way).
     mode:
         ``"batched"`` routes supported kernels through the stacked tensor
-        path (generic plans still run per cell on the executor);
+        path (generic plans still run per fold on the executor);
         ``"percell"`` forces the reference oracle for every cell.
     executor:
         Where parallel work runs — ``"serial"``, ``"thread"``, ``"process"``
         or a constructed :class:`~repro.runtime.executor.CellExecutor`.
-        For an eager plan this spreads per-cell work (non-batchable
-        baselines, or everything under ``"percell"``); for a tiled plan
-        with more than one tile it dispatches whole tiles.
+        It runs one batched unit per tile and one unit per generic fold.
     """
-    if isinstance(plan, TiledPlan):
-        return run_plan_group([plan], mode=mode, executor=executor)[0]
+    _check_mode(mode)
     resolved = get_executor(executor)
-    if mode not in ("batched", "percell"):
-        raise ExperimentError(f"unknown runtime mode {mode!r}; use 'batched' or 'percell'")
     with single_blas_thread(), active_recorder().span(
         "plan.run", mode=mode, algorithm=plan.algorithm, cells=plan.n_cells
     ):
-        if mode == "percell":
-            return _run_percell(plan, resolved)
-        return _run_batched_single(plan, resolved)
+        return _run_groups([[plan]], mode, resolved)[0][0]
 
 
 def run_plan_group(
@@ -707,132 +837,42 @@ def run_plan_group(
 ) -> list[PlanResult]:
     """Execute several algorithms' plans as one group, results in order.
 
-    Grouping buys two things over looping :func:`run_plan`:
+    The one-group case of :func:`run_plan_groups`.
+    """
+    return run_plan_groups([plans], mode=mode, executor=executor)[0]
+
+
+def run_plan_groups(
+    groups: Sequence[Sequence[CellPlan | TiledPlan]],
+    mode: str = "batched",
+    executor: str | CellExecutor = "serial",
+) -> list[list[PlanResult]]:
+    """Execute several groups of plans as **one** executor map.
+
+    A group is one algorithm panel at one sweep point.  Grouping buys two
+    things over looping :func:`run_plan`:
 
     * plans constructed over one shared
       :class:`~repro.runtime.plan.PreparedDataCache` reuse prepared arrays
       and fold-level moment blocks wherever their splits coincide, and
-    * all quadratic-kernel plans' pending closed-form solves merge into one
-      stacked LAPACK call per feature dimension (see
+    * all quadratic-kernel plans' pending closed-form solves of a tile
+      merge into one stacked LAPACK call per feature dimension (see
       :func:`_solve_requests`) — bitwise identical to solving each plan
       alone.
 
-    Tiled plans must share their tiling (same repetitions and
-    ``tile_size``); tile ``t`` of every plan executes together, and with a
-    thread/process executor whole tiles run in parallel while results
-    reduce in tile order, keeping output independent of scheduling.
+    A group's plans are all eager (one tile) or all tiled with a shared
+    tiling.  Every (group, tile) contributes one *batched* unit — its
+    quadratic and Newton plans — and one unit per fold of every generic
+    plan (every plan under ``"percell"``).  All units of all groups go to
+    the executor as one map, largest expected cost first (batched units,
+    then folds by ascending ε), so a pool stays busy across sweep points.
+    Results reduce in (group, tile, plan, fold) order, keeping output
+    independent of dispatch order, executor and worker count.
     """
-    plans = list(plans)
-    if not plans:
-        return []
-    if mode not in ("batched", "percell"):
-        raise ExperimentError(f"unknown runtime mode {mode!r}; use 'batched' or 'percell'")
+    groups = [list(group) for group in groups]
+    _check_mode(mode)
     resolved = get_executor(executor)
     with single_blas_thread(), active_recorder().span(
-        "plan.group", mode=mode, plans=len(plans)
+        "plan.group", mode=mode, groups=len(groups), plans=sum(map(len, groups))
     ):
-        if all(isinstance(p, CellPlan) for p in plans):
-            return _run_group_eager(plans, mode, resolved)
-        if all(isinstance(p, TiledPlan) for p in plans):
-            return _run_group_tiled(plans, mode, resolved)
-        raise ExperimentError("cannot mix eager CellPlans and TiledPlans in one group")
-
-
-def _run_group_eager(
-    plans: list[CellPlan], mode: str, executor: CellExecutor
-) -> list[PlanResult]:
-    """Group execution over fully materialized plans."""
-    if mode == "percell":
-        return [_run_percell(plan, executor) for plan in plans]
-    if mode != "batched":
-        raise ExperimentError(f"unknown runtime mode {mode!r}; use 'batched' or 'percell'")
-    results: list[PlanResult | None] = [None] * len(plans)
-    quad_indices = [
-        i
-        for i, plan in enumerate(plans)
-        if (plan.algorithm.lower(), plan.kernel) in _QUAD_KINDS
-    ]
-    if quad_indices:
-        merged = _run_quadratic_plans([plans[i] for i in quad_indices])
-        for i, outcome in zip(quad_indices, merged):
-            results[i] = outcome
-    for i, plan in enumerate(plans):
-        if results[i] is None:
-            results[i] = _run_batched_single(plan, executor)
-    return results  # type: ignore[return-value]
-
-
-@dataclass
-class _TileGroupWork:
-    """Materialize and execute one tile of every plan in the group.
-
-    Module-level and picklable (plans pickle their datasets; a carried
-    ``PreparedDataCache`` pickles as a fresh one) so a persistent process
-    pool can ship whole tiles; the one-shot fork executor keeps reaching
-    it through copy-on-write without any pickling.  Only the lightweight
-    score/time lists travel back either way.
-    """
-
-    plans: tuple[TiledPlan, ...]
-    mode: str
-    inner: CellExecutor
-
-    def __call__(self, index: int) -> list[tuple[dict, dict, int]]:
-        with active_recorder().span("plan.tile", tile=index):
-            tile_plans = [plan.tile(index) for plan in self.plans]
-            tile_results = _run_group_eager(tile_plans, self.mode, self.inner)
-            return [
-                (outcome.scores, outcome.fit_seconds, tile_plan.n_train)
-                for outcome, tile_plan in zip(tile_results, tile_plans)
-            ]
-
-
-def _run_group_tiled(
-    tiled: list[TiledPlan], mode: str, executor: CellExecutor
-) -> list[PlanResult]:
-    """Tile-by-tile group execution with deterministic tile-ordered reduction.
-
-    Each tile materializes every plan's repetitions for that tile, executes
-    them as an eager group (merged solves included) and returns only the
-    lightweight score/time lists — the prepared arrays never leave the
-    tile's scope (or, under the process executor, the forked worker).  With
-    more than one tile, whole tiles dispatch across the executor: workers
-    materialize their tiles from the copy-on-write-shared raw dataset, so
-    peak resident memory is ``min(n_tiles, workers)`` tiles rather than the
-    whole protocol.  With a single tile, the executor instead spreads
-    per-cell work inside the tile, preserving the eager path's cell-level
-    parallelism.
-    """
-    boundaries = {(plan.n_reps, plan.tile_size) for plan in tiled}
-    if len(boundaries) > 1:
-        raise ExperimentError(
-            f"grouped tiled plans must share their tiling, got {sorted(boundaries)}"
-        )
-    n_tiles = tiled[0].n_tiles
-    inner = executor if n_tiles == 1 else SerialExecutor()
-    tile_outcomes = _mapped(
-        executor, _TileGroupWork(tuple(tiled), mode, inner), list(range(n_tiles))
-    )
-    scores: list[dict[float, list[float]]] = [
-        {e: [] for e in plan.epsilons} for plan in tiled
-    ]
-    fit_seconds: list[dict[float, list[float]]] = [
-        {e: [] for e in plan.epsilons} for plan in tiled
-    ]
-    last_n_train = [0] * len(tiled)
-    for tile_outcome in tile_outcomes:  # executor.map preserves tile order
-        for j, (tile_scores, tile_times, n_train) in enumerate(tile_outcome):
-            for e in tiled[j].epsilons:
-                scores[j][e].extend(tile_scores[e])
-                fit_seconds[j][e].extend(tile_times[e])
-            last_n_train[j] = n_train
-    return [
-        PlanResult(
-            plan=plan,
-            mode=mode,
-            scores=scores[j],
-            fit_seconds=fit_seconds[j],
-            last_n_train=last_n_train[j],
-        )
-        for j, plan in enumerate(tiled)
-    ]
+        return _run_groups(groups, mode, resolved)

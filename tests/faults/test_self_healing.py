@@ -21,6 +21,8 @@ from repro.runtime import (
     PooledProcessExecutor,
     ProcessExecutor,
     SerialExecutor,
+    ThreadExecutor,
+    runner,
 )
 from repro.runtime.executor import _SHARED_WORK
 from repro.runtime.runner import _mapped
@@ -117,6 +119,26 @@ class TestRetryExhaustion:
             assert _mapped(executor, _square, items) == [v * v for v in items]
         counters = recorder.summary()["counters"]
         assert counters.get("executor.fallbacks", 0) >= 1
+
+    def test_fallback_keeps_the_failed_executors_worker_count(self, monkeypatch):
+        """The thread stage must use the broken executor's ``max_workers``,
+        not ``ThreadExecutor()``'s ``min(8, cpu_count)`` default."""
+        built = []
+
+        class SpyThreadExecutor(ThreadExecutor):
+            def __init__(self, max_workers=None):
+                super().__init__(max_workers)
+                built.append(self.max_workers)
+
+        monkeypatch.setattr(runner, "ThreadExecutor", SpyThreadExecutor)
+        retry = RetryPolicy(
+            max_retries=0, backoff_seconds=0.01, failure_mode="fallback"
+        )
+        executor = ProcessExecutor(max_workers=3, retry=retry)
+        items = list(range(5))
+        with _chaos("seed=2;worker.crash=1.0x99"):
+            assert _mapped(executor, _square, items) == [v * v for v in items]
+        assert built == [3]
 
     def test_zero_retries_restores_fail_fast(self):
         retry = RetryPolicy(max_retries=0, backoff_seconds=0.01)
