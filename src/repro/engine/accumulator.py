@@ -43,7 +43,8 @@ same global order.  Two ingredients make that possible:
 Sealing: ``merge``, ``save`` and ``snapshot`` treat a pending partial block
 (fewer than ``block_size`` buffered rows) as a block of its own, because the
 raw rows needed to keep filling it are not transferable.  ``merge`` therefore
-seals both operands' tails; ``snapshot`` and ``save`` are non-mutating.
+seals both operands' tails; ``snapshot`` and ``save`` do not change the
+statistics (``snapshot`` only memoizes its result).
 """
 
 from __future__ import annotations
@@ -196,6 +197,8 @@ class MomentAccumulator:
         self._tail_X: np.ndarray | None = None
         self._tail_y: np.ndarray | None = None
         self._n = 0
+        # Memoized snapshot(); dropped whenever the statistics change.
+        self._snapshot: MomentSnapshot | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -289,6 +292,7 @@ class MomentAccumulator:
             self._tail_X = X[n_full:].copy()
             self._tail_y = y[n_full:].copy()
         self._n += n_new
+        self._snapshot = None
         return self
 
     # ------------------------------------------------------------------
@@ -305,6 +309,7 @@ class MomentAccumulator:
         if self._tail_X is not None:
             self._units.append(self._unit_of(self._tail_X, self._tail_y))
             self._tail_X = self._tail_y = None
+        self._snapshot = None
         return self
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
@@ -347,18 +352,33 @@ class MomentAccumulator:
     # Finalization
     # ------------------------------------------------------------------
     def snapshot(self) -> MomentSnapshot:
-        """Finalized statistics (non-mutating; streaming may continue after)."""
-        units = self._sealed_units()
-        d = self._dim
-        return MomentSnapshot(
-            dim=d,
-            n=sum(u.count for u in units),
-            S2=_exact_sum_arrays([u.S2 for u in units], (d, d)),
-            S1=_exact_sum_arrays([u.S1 for u in units], (d,)),
-            Sxy=_exact_sum_arrays([u.Sxy for u in units], (d,)),
-            Sy=_exact_sum([u.Sy for u in units]),
-            Syy=_exact_sum([u.Syy for u in units]),
-        )
+        """Finalized statistics (streaming may continue after).
+
+        The exact reduction costs one :func:`math.fsum` per statistic
+        entry, so the result is memoized until the statistics change: a
+        non-empty ``update``, a ``merge`` or a ``seal`` drops it, an empty
+        ``update`` keeps it, and ``copy``/``load`` start without one.  The
+        memoized snapshot is shared by every caller, so its arrays are
+        read-only.
+        """
+        if self._snapshot is None:
+            units = self._sealed_units()
+            d = self._dim
+            S2 = _exact_sum_arrays([u.S2 for u in units], (d, d))
+            S1 = _exact_sum_arrays([u.S1 for u in units], (d,))
+            Sxy = _exact_sum_arrays([u.Sxy for u in units], (d,))
+            for array in (S2, S1, Sxy):
+                array.flags.writeable = False
+            self._snapshot = MomentSnapshot(
+                dim=d,
+                n=sum(u.count for u in units),
+                S2=S2,
+                S1=S1,
+                Sxy=Sxy,
+                Sy=_exact_sum([u.Sy for u in units]),
+                Syy=_exact_sum([u.Syy for u in units]),
+            )
+        return self._snapshot
 
     def quadratic_form(self, objective: RegressionObjective) -> QuadraticForm:
         """Shorthand for ``snapshot().quadratic_form(objective)``."""

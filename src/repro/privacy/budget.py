@@ -46,6 +46,26 @@ _JOURNAL_VERSION = 1
 _RECOVERED_SUFFIX = " (recovered: uncommitted intent)"
 
 
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add ``x`` to ``partials`` in place, keeping their sum exact.
+
+    Shewchuk's non-overlapping partials, the algorithm behind
+    :func:`math.fsum`: ``math.fsum(partials)`` stays the correctly rounded
+    sum of every value added so far.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 @dataclass(frozen=True)
 class BudgetLedgerEntry:
     """A single recorded spend: how much, and by whom."""
@@ -100,6 +120,9 @@ class PrivacyBudget:
             )
         self._total = epsilon
         self._ledger: list[BudgetLedgerEntry] = []
+        # Exact running sum of the ledger (see `spent`).
+        self._partials: list[float] = []
+        self._spent = 0.0
         self._lock = threading.Lock()
         # Journal intent ids are never reused — not even when a spend dies
         # between intent and commit — or a replay could alias two spends.
@@ -230,7 +253,7 @@ class PrivacyBudget:
         entries.sort(key=lambda e: e[0])  # ledger order == intent order
         budget = cls(total, journal_path=path, _resume=True)
         for _, epsilon, note in entries:
-            budget._ledger.append(BudgetLedgerEntry(epsilon=epsilon, note=note))
+            budget._record(epsilon, note)
         budget._next_intent_id = max((e[0] for e in entries), default=0) + 1
         for intent_id in recovered_ids:  # make a second replay agree
             budget._journal_write({"op": "commit", "id": intent_id, "recovered": True})
@@ -250,8 +273,15 @@ class PrivacyBudget:
 
     @property
     def spent(self) -> float:
-        """Sum of all recorded spends (sequential composition)."""
-        return math.fsum(entry.epsilon for entry in self._ledger)
+        """Sum of all recorded spends (sequential composition).
+
+        An exact running sum, so reading it is O(1) in the ledger length:
+        every ledger entry is also added to Shewchuk partials, and this is
+        their :func:`math.fsum`.  Both that and ``math.fsum`` over the
+        ledger are the correctly rounded exact sum, so the two agree bit
+        for bit.
+        """
+        return self._spent
 
     @property
     def remaining(self) -> float:
@@ -272,6 +302,12 @@ class PrivacyBudget:
     # ------------------------------------------------------------------
     # Spending
     # ------------------------------------------------------------------
+    def _record(self, epsilon: float, note: str) -> None:
+        """Append one ledger entry and fold it into the running sum."""
+        self._ledger.append(BudgetLedgerEntry(epsilon=epsilon, note=note))
+        _add_exact(self._partials, epsilon)
+        self._spent = math.fsum(self._partials)
+
     @property
     def _slack(self) -> float:
         """Exhaustion tolerance: relative to the total, floored at 1e-12.
@@ -330,7 +366,7 @@ class PrivacyBudget:
                 from ..exceptions import InjectedFaultError
 
                 raise InjectedFaultError("budget.crash", intent_id, 0)
-            self._ledger.append(BudgetLedgerEntry(epsilon=epsilon, note=note))
+            self._record(epsilon, note)
             self._journal_write({"op": "commit", "id": intent_id})
         recorder = active_recorder()
         if recorder.recording:
@@ -354,7 +390,7 @@ class PrivacyBudget:
             note_id = self._next_intent_id
             self._next_intent_id += 1
             self._journal_write({"op": "note", "id": note_id, "note": note})
-            self._ledger.append(BudgetLedgerEntry(epsilon=0.0, note=note))
+            self._record(0.0, note)
 
     def split(self, fractions: list[float]) -> list["PrivacyBudget"]:
         """Carve the *remaining* budget into child budgets.

@@ -20,16 +20,23 @@ completion, whatever the executors do:
 3. ``budget.spend(sum(epsilons))`` against the tenant's write-ahead
    journal — over-spend is refused with a non-retryable 409, a crash
    inside the spend replays conservatively as spent;
-4. fit one model per epsilon through the session's configured executor
-   family, with the remaining deadline propagated into ``tile_timeout``
-   and ``failure_mode="fallback"`` degrading process → thread → serial,
-   so a committed spend always yields a released model.
+4. release every epsilon's model as one stacked sweep — one noise row
+   per epsilon, one batched repair and solve for the whole fit — as a
+   single item mapped on the session's configured executor family
+   (every family runs a single-item map in the calling thread), with
+   the remaining deadline propagated into ``tile_timeout`` and
+   ``failure_mode="fallback"`` degrading process → thread → serial, so
+   a committed spend always yields a released model.
 
-Determinism: each epsilon's noise stream is
-``derive_substream(seed, [_SERVE_STREAM_TAG, index])`` — a pure function
-of the request, independent of executor, concurrency, retries and
-injected faults — so a fit's :func:`~repro.serve.protocol.fit_digest`
-under chaos equals the clean offline recomputation from the same rows.
+Determinism: the noise row of epsilon ``index`` is drawn from its own
+substream ``derive_substream(seed, [_SERVE_STREAM_TAG, index])`` — a
+pure function of the request, independent of executor, concurrency,
+retries and injected faults — so a fit's
+:func:`~repro.serve.protocol.fit_digest` under chaos equals the clean
+offline recomputation from the same rows.  Stacking the rows changes no
+byte: the noise mapping works row by row, and the batched ``eigh`` /
+``solve`` factor each stacked matrix on its own, so the stacked release
+equals a separate one-epsilon sweep per index.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from ..engine.sweep import EpsilonSweepEngine
 from ..exceptions import BudgetExhaustedError, DataError
 from ..experiments.harness import objective_for
 from ..faults import RetryPolicy, use_injector
-from ..obs import use_recorder
+from ..obs import active_recorder, use_recorder
 from ..privacy.rng import derive_substream
 from ..runtime import ProcessExecutor, SerialExecutor, ThreadExecutor
 from ..runtime.runner import _mapped
@@ -92,12 +99,14 @@ def _partition_site(partition: str | None) -> int | None:
 
 
 class _FitWork:
-    """One epsilon's Functional-Mechanism release; items are ``(index, eps)``.
+    """One fit's Functional-Mechanism release; its one item is all ``(index, eps)``.
 
     Module-level and built only from picklable state (task name, dims,
     the snapshot's :class:`~repro.core.polynomial.QuadraticForm`), so
-    process pools can ship it.  Each item derives its own keyed noise
-    substream — executor-independent by construction.
+    process pools can ship it.  Each index draws its standardized noise
+    row from its own keyed substream — executor-independent by
+    construction — and the stacked ``(k, 1 + d + d^2)`` sample is released
+    by one :meth:`~repro.engine.sweep.EpsilonSweepEngine.sweep_from_draws`.
     """
 
     def __init__(
@@ -116,17 +125,23 @@ class _FitWork:
         self.stream_version = stream_version
         self.partition_site = partition_site
 
-    def __call__(self, item: tuple[int, float]) -> np.ndarray:
-        index, epsilon = item
-        objective = objective_for(self.task, self.dims)
-        engine = EpsilonSweepEngine(objective, self.form)
-        path = [_SERVE_STREAM_TAG, index]
+    def __call__(self, item: tuple[tuple[int, float], ...]) -> np.ndarray:
+        d = self.dims
+        prefix = [_SERVE_STREAM_TAG]
         if self.partition_site is not None:
-            path = [_SERVE_STREAM_TAG, self.partition_site, index]
-        rng = derive_substream(
-            self.seed, path, stream_version=self.stream_version
-        )
-        return engine.sweep([epsilon], rng=rng).coefficients[0]
+            prefix.append(self.partition_site)
+        raw = np.concatenate([
+            derive_substream(
+                self.seed, [*prefix, index], stream_version=self.stream_version
+            ).laplace(0.0, 1.0, size=(1, 1 + d + d * d))
+            for index, _ in item
+        ])
+        # sweep_from_draws counts no draws (federated callers inject draws
+        # they never made), so the draws are counted where they are made.
+        active_recorder().counter("engine.laplace_draws", raw.size)
+        engine = EpsilonSweepEngine(objective_for(self.task, d), self.form)
+        epsilons = [epsilon for _, epsilon in item]
+        return engine.sweep_from_draws(epsilons, raw).coefficients
 
 
 class ServeApp:
@@ -348,10 +363,11 @@ class ServeApp:
     ) -> np.ndarray:
         """Release one model per epsilon; completion is unconditional.
 
+        The whole fit is a single executor item (one stacked release).
         ``_mapped`` supplies the graceful-degradation chain: a process
         executor broken past its retries under ``failure_mode="fallback"``
-        re-runs only the pending epsilons on a thread pool, then serially
-        — bitwise-identically, since every epsilon's stream is keyed, not
+        re-runs the fit on a thread pool, then serially —
+        bitwise-identically, since every epsilon's stream is keyed, not
         positional.
         """
         objective = objective_for(task, dims)
@@ -360,15 +376,14 @@ class ServeApp:
             task, dims, form, seed, self.session.policy.stream_version,
             partition_site=_partition_site(partition),
         )
-        items = [(i, eps) for i, eps in enumerate(epsilons)]
         executor = self._fit_executor(deadline)
         try:
-            rows = _mapped(executor, work, items)
+            (omegas,) = _mapped(executor, work, [tuple(enumerate(epsilons))])
         finally:
             close = getattr(executor, "close", None)
             if close is not None:
                 close()
-        return np.asarray(rows, dtype=float)
+        return omegas
 
     def status(self, name: str) -> dict:
         with self.registry.lease(name) as tenant, self._scope(

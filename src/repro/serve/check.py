@@ -17,7 +17,11 @@ been ``kill -9``-ed:
    rows are a pure function of ``(seed, tenant, batch)`` and each fit's
    noise streams are keyed by its request seed, so every released fit is
    recomputed here — same accumulator block structure, same substreams,
-   no service, no executor — and its digest must match bitwise.
+   no service, no executor — and its digest must match bitwise.  The
+   recomputation is an independent oracle: where the service releases a
+   fit as one stacked sweep, this module runs the historical loop of one
+   single-epsilon :meth:`~repro.engine.sweep.EpsilonSweepEngine.sweep`
+   per epsilon, each on its own keyed substream.
 
 Run standalone::
 
@@ -35,8 +39,11 @@ from pathlib import Path
 import numpy as np
 
 from ..engine.accumulator import MomentAccumulator
+from ..engine.sweep import EpsilonSweepEngine
+from ..experiments.harness import objective_for
 from ..privacy.budget import PrivacyBudget
-from .app import _FitWork
+from ..privacy.rng import derive_substream
+from .app import _SERVE_STREAM_TAG
 from .loadgen import synthetic_batch
 from .protocol import fit_digest
 
@@ -60,18 +67,23 @@ def _expected_digest(
             int(config["rows_per_batch"]), dims,
         )
         accumulator.update(X, y)
-    from ..experiments.harness import objective_for
-
     objective = objective_for(task, dims)
     form = accumulator.snapshot().quadratic_form(objective)
     epsilons = tuple(float(e) for e in fit["epsilons"])
-    work = _FitWork(task, dims, form, int(fit["seed"]), stream_version)
+    seed = int(fit["seed"])
     omegas = np.asarray(
-        [work((i, eps)) for i, eps in enumerate(epsilons)], dtype=float
+        [
+            EpsilonSweepEngine(objective, form).sweep(
+                [eps],
+                rng=derive_substream(
+                    seed, [_SERVE_STREAM_TAG, i], stream_version=stream_version
+                ),
+            ).coefficients[0]
+            for i, eps in enumerate(epsilons)
+        ],
+        dtype=float,
     )
-    return fit_digest(
-        task, dims, epsilons, int(fit["seed"]), accumulator.n_rows, omegas
-    )
+    return fit_digest(task, dims, epsilons, seed, accumulator.n_rows, omegas)
 
 
 def verify_report(

@@ -194,3 +194,67 @@ class TestMechanismEntryPoint:
         np.testing.assert_array_equal(noisy_a.alpha, noisy_b.alpha)
         assert noisy_a.beta == noisy_b.beta
         assert record_a == record_b
+
+
+class TestSnapshotMemo:
+    def test_repeat_snapshot_is_memoized_and_read_only(self, stream_data):
+        X, y = stream_data
+        acc = MomentAccumulator(X.shape[1], block_size=256).update(X[:1000], y[:1000])
+        snap = acc.snapshot()
+        assert acc.snapshot() is snap
+        for array in (snap.S2, snap.S1, snap.Sxy):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_memo_equals_fresh_recompute(self, stream_data, bit_identical):
+        X, y = stream_data
+        acc = MomentAccumulator(X.shape[1], block_size=256).update(X[:1000], y[:1000])
+        memo = acc.snapshot()
+        fresh = acc.copy().snapshot()  # a copy starts without the memo
+        assert fresh is not memo
+        assert bit_identical(memo, fresh)
+
+    def test_non_empty_update_invalidates(self, stream_data, bit_identical):
+        X, y = stream_data
+        acc = MomentAccumulator(X.shape[1], block_size=256).update(X[:100], y[:100])
+        stale = acc.snapshot()
+        acc.update(X[100:300], y[100:300])
+        reference = MomentAccumulator(X.shape[1], block_size=256).update(X[:300], y[:300])
+        assert acc.snapshot() is not stale
+        assert bit_identical(acc.snapshot(), reference.snapshot())
+
+    def test_empty_update_keeps_memo(self, stream_data):
+        X, y = stream_data
+        acc = MomentAccumulator(X.shape[1]).update(X[:100], y[:100])
+        snap = acc.snapshot()
+        acc.update(X[:0], y[:0])
+        assert acc.snapshot() is snap
+
+    def test_merge_invalidates(self, stream_data, bit_identical):
+        X, y = stream_data
+        acc = MomentAccumulator(X.shape[1], block_size=256).update(X[:512], y[:512])
+        other = MomentAccumulator(X.shape[1], block_size=256).update(X[512:1024], y[512:1024])
+        stale = acc.snapshot()
+        acc.merge(other)
+        reference = MomentAccumulator(X.shape[1], block_size=256).update(X[:1024], y[:1024])
+        assert acc.snapshot() is not stale
+        assert acc.snapshot().n == 1024
+        assert bit_identical(acc.snapshot(), reference.snapshot())
+
+    def test_seal_invalidates(self, stream_data, bit_identical):
+        X, y = stream_data
+        acc = MomentAccumulator(X.shape[1], block_size=256).update(X[:300], y[:300])
+        stale = acc.snapshot()
+        acc.seal()
+        assert acc.snapshot() is not stale
+        assert bit_identical(acc.snapshot(), stale)
+
+    def test_load_starts_without_memo(self, tmp_path, stream_data, bit_identical):
+        X, y = stream_data
+        acc = MomentAccumulator(X.shape[1], block_size=256).update(X[:700], y[:700])
+        snap = acc.snapshot()
+        acc.save(tmp_path / "memo.npz")
+        loaded = MomentAccumulator.load(tmp_path / "memo.npz")
+        assert bit_identical(loaded.snapshot(), snap)
+        assert acc.snapshot() is snap  # save leaves the memo in place

@@ -1,6 +1,11 @@
 """Tests for the privacy-budget accountant."""
 
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import BudgetExhaustedError, InvalidBudgetError
 from repro.privacy.budget import PrivacyBudget
@@ -144,3 +149,60 @@ class TestParallelComposition:
     def test_rejects_non_positive(self):
         with pytest.raises(InvalidBudgetError):
             PrivacyBudget.parallel_composition([0.1, -0.2])
+
+
+#: Spend sizes across the whole useful range: subnormal and tiny values
+#: (whose bits a naive running float sum would drop), ordinary budgets,
+#: and huge ones that push the total towards 1e9.
+_EPSILONS = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-12),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.floats(min_value=1e6, max_value=3e8),
+)
+_OPS = st.lists(
+    st.one_of(st.tuples(st.just("spend"), _EPSILONS), st.just(("annotate", 0.0))),
+    max_size=40,
+)
+
+
+def _ledger_fsum(budget: PrivacyBudget) -> float:
+    return math.fsum(entry.epsilon for entry in budget.ledger)
+
+
+class TestRunningSum:
+    """``spent`` is an O(1) running sum, bit-identical to fsum over the ledger."""
+
+    @given(_OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_spent_is_fsum_of_ledger_bit_for_bit(self, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            journal = Path(tmp) / "budget.journal"
+            with PrivacyBudget(2e9, journal_path=journal) as budget:
+                for kind, epsilon in ops:
+                    if kind == "annotate":
+                        budget.annotate("zero-cost note")
+                    elif budget.can_spend(epsilon):
+                        budget.spend(epsilon, note="spend")
+                    assert budget.spent == _ledger_fsum(budget)
+                spent = budget.spent
+            with PrivacyBudget.restore(journal) as restored:
+                assert restored.spent == _ledger_fsum(restored) == spent
+                restored.spend(0.5)
+                assert restored.spent == _ledger_fsum(restored)
+
+    def test_tiny_spends_are_not_absorbed(self):
+        # A float running sum would drop every 1e-17 next to 1.0; the
+        # exact sum keeps their total.
+        budget = PrivacyBudget(10.0)
+        budget.spend(1.0)
+        for _ in range(1000):
+            budget.spend(1e-17)
+        assert budget.spent == math.fsum([1.0] + [1e-17] * 1000)
+        assert budget.spent > 1.0
+
+    def test_empty_and_annotation_only_ledgers_spend_nothing(self):
+        budget = PrivacyBudget(1.0)
+        assert budget.spent == 0.0
+        budget.annotate("covered by the running maximum")
+        assert budget.spent == 0.0
+        assert budget.remaining == 1.0
