@@ -1,8 +1,8 @@
 """Fault-tolerance overhead: self-healing must be ~free when nothing fails.
 
-The hardened process executors (PR "repro.faults") keep extra accounting
+The hardened process executor (:mod:`repro.faults`) keeps extra accounting
 on the fault-free path: a completed-prefix cursor for rebuild-and-resume,
-the retry-policy bound checks, and the shared-work token lifecycle.  The
+the retry-policy bound checks, and the per-map work-file lifecycle.  The
 cost contract:
 
 * the hardened default (``max_retries=2``, no timeout) must stay within

@@ -4,7 +4,8 @@ ROADMAP open item: ``--tile-size N --executor process`` is asserted
 bit-identical to the serial path, but PR 3's build box had one CPU, so its
 speedup was unmeasured.  This bench measures it: a FULL-shaped FM workload
 (all six Table-2 budgets per cell) is tiled into single-repetition tiles
-and dispatched to a forked process pool at increasing worker counts.
+and dispatched to a process pool (``PooledProcessExecutor``) at increasing
+worker counts.
 
 Following the ``bench_harness_memory`` pattern, every configuration runs
 in a **fresh subprocess** — process pools, BLAS thread state and page
@@ -29,10 +30,10 @@ the pin, the thread count the host would use unpinned.
 Results merge into ``BENCH_harness.json`` under ``scaling_benchmarks``.
 
 Pool reuse (the session API's executor lifecycle): a second measurement
-compares N consecutive ``evaluate`` calls with a fresh fork pool spun up
-inside every call (``executor=ProcessExecutor(max_workers=2)`` passed per
-call) against one :class:`repro.session.Session` holding a single
-persistent pool across all N calls.  Both modes must produce identical score
+compares N consecutive ``evaluate`` calls that each open and close their
+own pool (a ``PooledProcessExecutor(max_workers=2)`` built for, passed to
+and closed after every call) against one :class:`repro.session.Session`
+holding a single persistent pool across all N calls.  Both modes must produce identical score
 digests; the timings record what per-call pool spin-up costs.  Results
 merge into ``BENCH_harness.json`` under ``session_pool_reuse`` with the
 exact :class:`~repro.session.ExecutionPolicy` embedded.
@@ -66,17 +67,19 @@ from repro.data.census import load_us
 from repro.experiments.config import PRIVACY_BUDGETS, ScalePreset
 from repro.runtime import plan_cells_tiled, run_plan
 from repro.runtime.blas import blas_info, blas_threads
-from repro.runtime.executor import ProcessExecutor
+from repro.runtime.executor import PooledProcessExecutor, SerialExecutor
 
 dataset = load_us(records)
 preset = ScalePreset(name="scaling", max_records=None, folds=5, repetitions=reps)
-executor = "serial" if config == "serial" else ProcessExecutor(max_workers=int(config))
 plan = plan_cells_tiled(
     "FM", dataset, "linear", dims=14, epsilons=PRIVACY_BUDGETS,
     preset=preset, seed=11, tile_size=1,
 )
 started = time.perf_counter()
-outcome = run_plan(plan, mode="batched", executor=executor)
+with (
+    SerialExecutor() if config == "serial" else PooledProcessExecutor(int(config))
+) as executor:
+    outcome = run_plan(plan, mode="batched", executor=executor)
 seconds = time.perf_counter() - started
 digest = hashlib.sha256()
 for epsilon in PRIVACY_BUDGETS:
@@ -168,9 +171,8 @@ def test_multicore_speedup(measurements):
 # ----------------------------------------------------------------------
 POOL_CALLS = int(os.environ.get("HARNESS_POOL_CALLS", "8"))
 POOL_RECORDS = int(os.environ.get("HARNESS_POOL_RECORDS", "20000"))
-#: Regression guard: the persistent pool ships work by pickle instead of
-#: fork-time COW, so it trades serialization for spin-up; it must never
-#: cost more than this multiple of the per-call lifecycle.
+#: Regression guard: the session-held pool must never cost more than this
+#: multiple of opening and closing a pool per call.
 POOL_REUSE_GUARD = float(os.environ.get("HARNESS_POOL_REUSE_GUARD", "2.0"))
 
 #: Runs POOL_CALLS consecutive FM evaluations in one of two executor
@@ -180,7 +182,7 @@ import hashlib, json, struct, sys, time
 records, calls, mode = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 from repro.data.census import load_us
 from repro.experiments.config import ScalePreset
-from repro.runtime import ProcessExecutor
+from repro.runtime import PooledProcessExecutor
 from repro.runtime.blas import blas_info, blas_threads
 from repro.session import ExecutionPolicy, Session
 
@@ -191,11 +193,13 @@ digest = hashlib.sha256()
 with Session(policy) as session:
     started = time.perf_counter()
     for call in range(calls):
-        per_call = ProcessExecutor(max_workers=2) if mode == "per-call" else None
+        per_call = PooledProcessExecutor(max_workers=2) if mode == "per-call" else None
         result = session.evaluate(
             "FM", dataset, "linear", dims=14, epsilon=0.8,
             preset=preset, seed=100 + call, executor=per_call,
         )
+        if per_call is not None:
+            per_call.close()
         digest.update(struct.pack("<dd", result.mean_score, result.std_score))
     seconds = time.perf_counter() - started
 print(json.dumps({
@@ -249,10 +253,10 @@ def test_pool_reuse_scores_identical(pool_measurements):
 
 
 def test_pool_reuse_not_a_regression(pool_measurements):
-    """The persistent pool's pickle dispatch must stay within the guard of
-    the per-call fork lifecycle (it should win outright once per-call
-    solve time stops dwarfing spin-up, but the guard only catches
-    pathology, not missed wins)."""
+    """The held pool must stay within the guard of the per-call pool
+    lifecycle (it should win outright once per-call solve time stops
+    dwarfing spin-up, but the guard only catches pathology, not missed
+    wins)."""
     per_call = pool_measurements["per-call"]["seconds"]
     held = pool_measurements["session"]["seconds"]
     assert held <= POOL_REUSE_GUARD * per_call, (per_call, held)

@@ -40,8 +40,7 @@ Package map
     Batched cell-solver runtime for the repeated-CV protocol: up-front
     (rep, fold, epsilon) cell planning, stacked LAPACK kernels and a
     masked batched Newton with bitwise-identical scores, plus pluggable
-    serial/thread/process executors (one-shot and session-held pooled
-    variants) for the non-batchable baselines.
+    serial, thread-pool and process-pool executors for the work units.
 ``repro.session``
     The unified Session/ExecutionPolicy API: one frozen, validated,
     JSON-serializable policy object for every execution knob (layered

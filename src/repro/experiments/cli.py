@@ -34,7 +34,9 @@ before any coordinator state changes.
 HTTP, with durable per-tenant budget ledgers, bounded admission queues,
 and periodic crash-safe snapshots.  Execution flags (``--executor``,
 ``--failure-mode``, ``--faults``, ...) configure the service's session
-exactly as they configure a figure run.
+as they configure a figure run, but a fit is a direct call on the
+handler thread: executor, retry and timeout flags change no fit, while
+``--faults`` still drives the durable-state fault sites.
 
 Accuracy figures print the paper-style sweep table; timing figures print the
 per-algorithm fit times; ``figure2``/``figure3`` print the worked examples.

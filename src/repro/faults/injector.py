@@ -185,9 +185,9 @@ def use_injector(injector: FaultInjector):
     Re-entrant like :func:`repro.obs.use_recorder` (and a module global
     for the same reason: lazily created executor worker threads must see
     the session's injector, which a thread-creation-time ``ContextVar``
-    copy would not guarantee).  Forked process-pool children inherit the
-    slot as of the fork, and pickled work re-derives an injector from
-    the plan text instead.
+    copy would not guarantee).  Process-pool workers do not read the
+    slot: each item ships the plan text, and the worker re-derives an
+    injector from it.
     """
     global _ACTIVE
     previous = _ACTIVE

@@ -9,11 +9,12 @@ returns them through an executor, and a real deployment would ship the
 same bytes however it likes.
 
 Process simulation: :class:`PartyWork` is a module-level picklable
-callable, so :func:`run_parties` can push each party through a
-``fork``-context :class:`~repro.runtime.executor.PooledProcessExecutor`
-— parties then genuinely run in separate OS processes with separate
-address spaces (the executor's ``<= 1 item`` in-process short-circuit
-never triggers for the ``K >= 2`` federations the simulation targets).
+callable, so :func:`run_parties` can push each party through the
+process executor (:class:`~repro.runtime.executor.PooledProcessExecutor`,
+which ships it to its workers by pickle) — parties then genuinely run in
+separate OS processes with separate address spaces (the executor runs a
+map of ``<= 1`` item in-process, which never happens for the ``K >= 2``
+federations the simulation targets).
 
 Per-party budgets: with ``budget_dir`` set, each party opens (or
 resumes) its **own** durable :class:`~repro.privacy.budget.PrivacyBudget`
@@ -230,7 +231,8 @@ def run_parties(
     """Run every party of the federation over contiguous row slices.
 
     ``executor`` is any :class:`~repro.runtime.executor.CellExecutor`;
-    a pooled process executor makes the parties real OS processes.
+    the process executor makes the parties real OS processes.  The
+    caller owns it (and closes it).
     Results come back in party order (the executor contract), as bytes
     or paths per :class:`PartyWork`.  ``out_dir`` is created (with its
     parents) here, once, before any party runs.

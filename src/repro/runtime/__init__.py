@@ -15,9 +15,9 @@ into a three-stage pipeline:
    :func:`canonical_array` float64 input gate,
 3. :mod:`~repro.runtime.executor` spreads the work units — one batched
    unit per tile plus one unit per fold of each non-batchable baseline —
-   over serial / thread / forked-process executors.  They are the only parallelism:
-   :mod:`~repro.runtime.blas` pins numpy's BLAS to one thread inside the
-   entry points below.
+   over serial / thread-pool / process-pool executors.  They are the only
+   parallelism: :mod:`~repro.runtime.blas` pins numpy's BLAS to one thread
+   inside the entry points below.
 
 :func:`run_plan` ties the stages together (and provides the per-cell
 reference oracle the equivalence tests assert against);
@@ -28,13 +28,13 @@ groups (a whole sweep) as one cost-ordered executor map.
 
 from .blas import single_blas_thread
 from .executor import (
+    EXECUTOR_KINDS,
     CellExecutor,
     PooledProcessExecutor,
     PooledThreadExecutor,
-    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     get_executor,
+    make_executor,
 )
 from .kernels import (
     NewtonBatchResult,
@@ -69,10 +69,10 @@ __all__ = [
     "canonical_array",
     "CellExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "PooledThreadExecutor",
     "PooledProcessExecutor",
+    "EXECUTOR_KINDS",
+    "make_executor",
     "get_executor",
     "NewtonBatchResult",
     "SpectralBatchResult",

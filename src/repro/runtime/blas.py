@@ -1,9 +1,9 @@
 """Pin numpy's bundled OpenBLAS to one thread while the runtime executes.
 
 The executors are the runtime's only source of parallelism.  A
-multithreaded BLAS inside forked or pooled workers oversubscribes the
-cores, and its reduction order depends on the thread count, which moves
-the histogram baselines' synthetic-fit scores from machine to machine.
+multithreaded BLAS inside pool workers oversubscribes the cores, and its
+reduction order depends on the thread count, which moves the histogram
+baselines' synthetic-fit scores from machine to machine.
 :func:`single_blas_thread` therefore pins BLAS to one thread for the
 duration of :func:`~repro.runtime.run_plan` (and the other protocol entry
 points).  Pools forked inside the pin inherit one thread.

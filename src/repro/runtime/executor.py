@@ -9,54 +9,32 @@ function materializes that tile's prepared arrays and runs its stacked
 kernels (or one generic fold), and only the lightweight per-cell
 score/time lists travel back.
 
-``SerialExecutor``
+Three executors, one per kind name of :func:`make_executor`:
+
+``SerialExecutor`` (``"serial"``)
     The reference: items run in submission order on the calling thread.
-``ThreadExecutor``
-    A thread pool.  NumPy releases the GIL inside BLAS/LAPACK and the
-    random generators are derived per cell (never shared), so cells are
-    data-race free and results are position-assigned — output order is
-    deterministic regardless of completion order.
-``ProcessExecutor``
-    A ``fork``-context process pool sharing the parent's arrays read-only
-    through copy-on-write memory: workers inherit the parent's address
-    space, so neither the plan's fold views (per-cell dispatch) nor the
-    raw dataset a tile materializes from (tile dispatch) are ever pickled
-    or copied.  For tile dispatch this is what bounds the parent's peak
-    memory: each forked worker materializes *its own* tile from the
-    COW-shared dataset and returns only scores, so at most
-    ``min(n_tiles, max_workers)`` tiles are resident machine-wide and the
-    parent holds none.  On platforms without ``fork`` the executor
-    degrades to serial execution.
-
-Executors supply all of the runtime's parallelism: inside
-:func:`~repro.runtime.run_plan` BLAS runs single-threaded
-(:mod:`~repro.runtime.blas`), and process pools forked there inherit that
-one thread.
-
-Pooled (session-held) variants
-------------------------------
-``ThreadExecutor`` and ``ProcessExecutor`` build a fresh pool inside every
-``map`` call — the right lifecycle for one-shot runs, and (for processes)
-the prerequisite of the COW trick above, which can only share state that
-existed *before* the fork.  A long-lived :class:`repro.session.Session`
-instead wants one pool reused across many calls, so this module also ships
-
-``PooledThreadExecutor``
-    A lazily created, persistent thread pool, reused by every ``map``
-    until :meth:`~PooledThreadExecutor.close`.
-``PooledProcessExecutor``
-    A lazily created, persistent ``fork``-context process pool.  Because
-    its workers outlive any single call, work **cannot** reach them by
-    fork-time inheritance.  Each ``map`` pickles the work callable (and
-    its payload) **once**, into a private temp file (shared memory when
-    available); every item is then submitted on its own as
+``PooledThreadExecutor`` (``"thread"``)
+    A lazily created thread pool, reused by every ``map`` until
+    :meth:`~CellExecutor.close`.  NumPy releases the GIL inside
+    BLAS/LAPACK and the random generators are derived per cell (never
+    shared), so cells are data-race free and results are position-assigned.
+``PooledProcessExecutor`` (``"process"``)
+    A lazily created ``fork``-context process pool, reused the same way.
+    Each ``map`` pickles the work callable (and its payload) **once**, into
+    a private temp file (shared memory when available) that is removed when
+    the map ends; every item is then submitted on its own as
     ``(path, key, item)``, and a worker loads the work the first time it
     sees the map's key and keeps it resident for the rest of the map.
     Items are dispatched one at a time in input order, so a caller that
-    orders its items by expected cost gets largest-first scheduling.
+    orders its items by expected cost gets largest-first scheduling.  On
+    platforms without ``fork`` it degrades to serial execution.
 
-Both pooled executors are context managers and idempotently ``close()``-
-able; a closed executor transparently re-creates its pool on next use.
+Every executor runs a map of at most one item inline, on the calling
+thread.  Executors are context managers; ``close()`` is idempotent, and a
+closed executor re-creates its pool on next use.  Executors supply all of
+the runtime's parallelism: inside :func:`~repro.runtime.run_plan` BLAS
+runs single-threaded (:mod:`~repro.runtime.blas`), and process pools
+forked there inherit that one thread.
 
 Determinism contract: executors only change *where* an item runs.  Each
 cell's RNG substream is derived from its (seed, tag) key, results are
@@ -67,8 +45,8 @@ across executors, worker counts, and pool lifecycles.
 
 Telemetry (:mod:`repro.obs`): thread and serial execution records into the
 session's recorder directly — it is thread-safe and shared by address
-space.  Process workers cannot (they mutate a forked or pickled copy), so
-when a recording recorder is active the process executors wrap the work in
+space.  Process workers cannot (they mutate a pickled copy), so when a
+recording recorder is active the process executor wraps the work in
 :class:`_TelemetryWork`: each worker-side call runs under a fresh recorder
 and ships ``(result, payload)`` home, and the parent merges the payloads
 **in input order** — deterministic regardless of completion order, and
@@ -76,7 +54,7 @@ double-count-free because the wrapper swaps the worker's active recorder.
 Merging happens outside the timed kernels and never touches results, so
 the bitwise contract above is unaffected.
 
-Self-healing (:mod:`repro.faults`): both process executors run under a
+Self-healing (:mod:`repro.faults`): the process executor runs under a
 :class:`~repro.faults.RetryPolicy`.  A ``BrokenProcessPool`` never kills
 the whole map: completed items are kept, the pool is rebuilt (bounded
 exponential backoff, ``max_retries`` unproductive rounds), and only the
@@ -112,10 +90,10 @@ from ..obs import active_recorder, make_recorder, use_recorder
 __all__ = [
     "CellExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "PooledThreadExecutor",
     "PooledProcessExecutor",
+    "EXECUTOR_KINDS",
+    "make_executor",
     "get_executor",
 ]
 
@@ -129,16 +107,24 @@ class CellExecutor:
         """Execute ``work`` over ``items``; result ``i`` is ``work(items[i])``."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release any held pool (a no-op for executors that hold none)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 class _TelemetryWork:
     """Process-worker shim: run one item under a fresh recorder, ship it home.
 
-    Picklable (plain attributes over a picklable work callable), so it
-    crosses into pooled workers by pickle and into forked workers by
-    inheritance.  Each call returns ``(result, payload)``; the parent
-    unwraps via :func:`_merge_worker_results`.  Installing a fresh
-    recorder per call is what keeps worker activity out of the (forked
-    copy of the) parent recorder — nothing is counted twice.
+    Picklable (plain attributes over a picklable work callable).  Each call
+    returns ``(result, payload)``; the parent unwraps via
+    :func:`_merge_worker_results`.  Installing a fresh recorder per call is
+    what keeps worker activity out of the worker's copy of the parent
+    recorder — nothing is counted twice.
     """
 
     __slots__ = ("work", "mode")
@@ -200,15 +186,6 @@ def _maybe_unseal(result):
     return result
 
 
-def _apply_faults(work: Callable, item, injector: FaultInjector, index: int, attempt: int):
-    """Run one item under the executor fault sites (worker side)."""
-    if injector.decide("worker.crash", index, attempt):
-        os._exit(_CRASH_EXIT)
-    if injector.decide("tile.hang", index, attempt):
-        time.sleep(injector.plan.hang_seconds)
-    return _seal(work(item), injector, index, attempt)
-
-
 #: Injectors rebuilt from plan text inside pooled workers, cached by text
 #: (decisions are stateless, so sharing one per plan is safe).
 _INJECTOR_CACHE: dict[str, FaultInjector] = {}
@@ -255,7 +232,8 @@ def _resident_call(path: str, key, item, faults):
     """Worker side: run one item, loading the map's work once per worker.
 
     ``faults`` is ``(plan_text, index, attempt)`` when an injector is
-    active (the fault sites then wrap the item), else ``None``.
+    active — the item then runs under the executor fault sites and its
+    result comes home sealed — else ``None``.
     """
     work = _RESIDENT.get(key)
     if work is None:
@@ -266,7 +244,12 @@ def _resident_call(path: str, key, item, faults):
     if faults is None:
         return work(item)
     plan_text, index, attempt = faults
-    return _apply_faults(work, item, _injector_for(plan_text), index, attempt)
+    injector = _injector_for(plan_text)
+    if injector.decide("worker.crash", index, attempt):
+        os._exit(_CRASH_EXIT)
+    if injector.decide("tile.hang", index, attempt):
+        time.sleep(injector.plan.hang_seconds)
+    return _seal(work(item), injector, index, attempt)
 
 
 def _terminate_workers(pool) -> None:
@@ -282,108 +265,6 @@ def _terminate_workers(pool) -> None:
             process.terminate()
 
 
-def _resilient_collect(
-    n_items: int,
-    ensure_pool: Callable,
-    discard_pool: Callable,
-    submit: Callable,
-    retry: RetryPolicy,
-    recorder,
-) -> list:
-    """The per-item submit loop both process executors recover through.
-
-    Each round submits every unfinished item (with its attempt count) and
-    collects results in input order.  Crashes (``BrokenProcessPool``),
-    hangs (``tile_timeout`` exceeded) and corrupt result envelopes mark
-    their items failed and — for the first two — condemn the pool, which
-    ``discard_pool`` tears down (killing workers when one is hung) so the
-    next round starts on a fresh fork; items of a condemned pool that
-    already finished are kept, the rest fail without further waiting.
-    Genuine exceptions raised *by the work* propagate immediately (the
-    round's unstarted items are cancelled): a deterministic bug would fail
-    every retry identically, and masking it as an executor failure would
-    turn a wrong answer into a slow wrong answer.
-
-    ``retry.max_retries`` bounds consecutive rounds that complete zero
-    items; a round with any progress keeps the loop alive, so a pool
-    that crashes repeatedly while still advancing is drained rather than
-    abandoned.  Exhaustion raises
-    :class:`~repro.exceptions.ExecutorBrokenError` with the completed
-    prefix and pending positions, letting callers resume elsewhere.
-    """
-    results: list = [None] * n_items
-    done = [False] * n_items
-    attempts = [0] * n_items
-    wasted_rounds = 0
-    while not all(done):
-        pending = [i for i in range(n_items) if not done[i]]
-        pool = ensure_pool()
-        futures: dict = {}
-        broke = False
-        try:
-            for i in pending:
-                futures[i] = submit(pool, i, attempts[i])
-        except BrokenProcessPool:
-            # A fast crash can poison the pool while this round is still
-            # being submitted, making submit() itself raise.  Items that
-            # never got a future fail the round; the submitted ones are
-            # harvested below like any other broken-pool round.
-            recorder.counter("executor.worker_crashes")
-            broke = True
-        completed_this_round = 0
-        failed: list[int] = [i for i in pending if i not in futures]
-        hung = False
-        try:
-            for i in pending:
-                future = futures.get(i)
-                if future is None:
-                    continue
-                if (broke or hung) and not future.done():
-                    # The pool is condemned; harvest items that finished
-                    # before the break without blocking on the rest.
-                    failed.append(i)
-                    continue
-                try:
-                    results[i] = _maybe_unseal(future.result(timeout=retry.tile_timeout))
-                    done[i] = True
-                    completed_this_round += 1
-                except concurrent.futures.TimeoutError:
-                    recorder.counter("executor.timeouts")
-                    failed.append(i)
-                    hung = True
-                except _CorruptPayloadError:
-                    recorder.counter("executor.payload_corruptions")
-                    failed.append(i)
-                except BrokenProcessPool:
-                    recorder.counter("executor.worker_crashes")
-                    failed.append(i)
-                    broke = True
-        except BaseException:
-            for future in futures.values():
-                future.cancel()
-            raise
-        if broke or hung:
-            discard_pool(kill=hung)
-            recorder.counter("executor.pool_rebuilds")
-        if not failed:
-            continue
-        for i in failed:
-            attempts[i] += 1
-        if completed_this_round == 0:
-            wasted_rounds += 1
-            if wasted_rounds > retry.max_retries:
-                raise ExecutorBrokenError(
-                    "hung worker" if hung else "worker crash or corrupt result",
-                    completed={i: results[i] for i in range(n_items) if done[i]},
-                    pending=tuple(i for i in range(n_items) if not done[i]),
-                    failure_mode=retry.failure_mode,
-                )
-        recorder.counter("executor.retries", len(failed))
-        with recorder.span("executor.retry", pending=len(failed)):
-            time.sleep(retry.delay(max(0, wasted_rounds - 1)))
-    return results
-
-
 class SerialExecutor(CellExecutor):
     """Run every item on the calling thread (the reference executor).
 
@@ -397,138 +278,14 @@ class SerialExecutor(CellExecutor):
         return [work(item) for item in items]
 
 
-class ThreadExecutor(CellExecutor):
-    """Run items on a thread pool (single-threaded BLAS releases the GIL).
-
-    Tile dispatch note: concurrent tiles may consult a shared
-    :class:`~repro.runtime.plan.PreparedDataCache`; its entries are
-    idempotent (a racing rebuild stores the identical value), so the race
-    is benign and scores stay deterministic.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-
-    def map(self, work: Callable, items: Sequence) -> list:
-        if len(items) <= 1:
-            return [work(item) for item in items]
-        with concurrent.futures.ThreadPoolExecutor(self.max_workers) as pool:
-            return list(pool.map(work, items))
-
-
-#: Work registered for copy-on-write sharing with forked workers, keyed by
-#: a monotonically increasing token (never recycled, unlike ``id`` — two
-#: overlapping maps can therefore never alias each other's work).
-#: Populated by ProcessExecutor *before* the fork so the children inherit
-#: the callable and its captured arrays without pickling them.
-_SHARED_WORK: dict[int, tuple[Callable, Sequence]] = {}
-_SHARED_TOKENS = itertools.count()
-
-
-def _forked_cell(payload: tuple[int, int, int]):
-    """Work unit for forked pools: one item, under the fault sites if active.
-
-    The injector reaches the child by fork-time inheritance of the
-    active-injector slot (pools are built inside the session's
-    ``use_injector`` scope), so only ``(token, index, attempt)`` crosses
-    the process boundary — the COW contract is unchanged.
-    """
-    token, index, attempt = payload
-    work, items = _SHARED_WORK[token]
-    injector = active_injector()
-    if not injector.executor_faults_active:
-        return work(items[index])
-    return _apply_faults(work, items[index], injector, index, attempt)
-
-
-class ProcessExecutor(CellExecutor):
-    """Run items on a forked process pool with shared read-only views.
-
-    Only the ``(token, index)`` pairs and each item's **result** cross the
-    process boundary; the work callable and anything it closes over (fold
-    views, a :class:`~repro.runtime.plan.TiledPlan` and its dataset) stay
-    in the parent's address space and reach workers via copy-on-write.
-    Results must therefore be kept lightweight — the tiled runner returns
-    score/time lists, never prepared arrays.
-
-    Self-healing: a ``BrokenProcessPool`` keeps the completed items,
-    rebuilds the pool and re-runs only unfinished items, bounded by
-    ``retry.max_retries`` (0 restores fail-fast); per-item collection
-    also detects hung workers, and an active fault injector adds envelope
-    checksums.
-    """
-
-    name = "process"
-
-    def __init__(
-        self, max_workers: int | None = None, retry: RetryPolicy | None = None
-    ) -> None:
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-        self.retry = retry if retry is not None else RetryPolicy()
-
-    def map(self, work: Callable, items: Sequence) -> list:
-        if len(items) <= 1:
-            return [work(item) for item in items]
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return SerialExecutor().map(work, items)
-        recorder = active_recorder()
-        if recorder.recording:
-            work = _TelemetryWork(work, recorder.mode)
-        token = next(_SHARED_TOKENS)
-        # The token must stay registered until every retry round is done
-        # (rebuilt pools fork afresh and re-inherit the registry), and must
-        # be released no matter how the map ends — including a work item
-        # raising — or the registry grows once per failed map.
-        _SHARED_WORK[token] = (work, items)
-        try:
-            results = self._map_submit(context, token, len(items), recorder)
-        finally:
-            del _SHARED_WORK[token]
-        if recorder.recording:
-            results = _merge_worker_results(results, recorder)
-        return results
-
-    def _map_submit(self, context, token: int, n_items: int, recorder) -> list:
-        """Per-item futures, collected with timeout + envelope checks."""
-        live: dict = {"pool": None}
-
-        def ensure_pool():
-            if live["pool"] is None:
-                live["pool"] = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.max_workers, mp_context=context
-                )
-            return live["pool"]
-
-        def discard_pool(kill: bool) -> None:
-            pool, live["pool"] = live["pool"], None
-            if pool is None:
-                return
-            if kill:
-                _terminate_workers(pool)
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        def submit(pool, index: int, attempt: int):
-            return pool.submit(_forked_cell, (token, index, attempt))
-
-        try:
-            return _resilient_collect(
-                n_items, ensure_pool, discard_pool, submit, self.retry, recorder
-            )
-        finally:
-            discard_pool(kill=False)
-
-
 class PooledThreadExecutor(CellExecutor):
     """A persistent thread pool reused across ``map`` calls.
 
-    Functionally identical to :class:`ThreadExecutor` (threads share the
-    parent's memory, so nothing about the work changes); the only
-    difference is pool lifecycle — created lazily on first use, reused
-    until :meth:`close`, re-created transparently after.
+    Created lazily on first use, reused until :meth:`close`, re-created
+    transparently after.  Tile dispatch note: concurrent tiles may consult
+    a shared :class:`~repro.runtime.plan.PreparedDataCache`; its entries are
+    idempotent (a racing rebuild stores the identical value), so the race
+    is benign and scores stay deterministic.
     """
 
     name = "pooled-thread"
@@ -542,19 +299,13 @@ class PooledThreadExecutor(CellExecutor):
         """The live pool, or ``None`` before first use / after close."""
         return self._pool
 
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(self.max_workers)
-        return self._pool
-
     def map(self, work: Callable, items: Sequence) -> list:
         if len(items) <= 1:
             return [work(item) for item in items]
-        had_pool = self._pool is not None
-        pool = self._ensure_pool()
-        recorder = active_recorder()
-        recorder.counter("pool.reused" if had_pool else "pool.created")
-        return list(pool.map(work, items))
+        active_recorder().counter("pool.reused" if self._pool else "pool.created")
+        if self._pool is None:
+            self._pool = concurrent.futures.ThreadPoolExecutor(self.max_workers)
+        return list(self._pool.map(work, items))
 
     def close(self) -> None:
         """Shut the pool down; the next ``map`` builds a fresh one.
@@ -572,36 +323,26 @@ class PooledThreadExecutor(CellExecutor):
         except Exception:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def __enter__(self) -> "PooledThreadExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 class PooledProcessExecutor(CellExecutor):
     """A persistent ``fork``-context process pool reused across ``map`` calls.
 
-    Work reaches the long-lived workers **by pickle** — the COW trick of
-    :class:`ProcessExecutor` only shares state that existed before the
-    fork, and a reusable pool forks once.  Work callables must therefore
-    be picklable (the runner's are).  Each ``map`` pickles its callable
-    exactly once, into a private temp file that is removed when the map
-    ends; items are submitted one by one as ``(path, key, item)``, and each
-    worker unpickles the work on its first item of the map and keeps it
-    resident (one map's work per worker).  Results are position-assigned
-    (``map`` output order == input order), and numpy arrays survive
-    pickling bit-exactly, so scores are bitwise identical to every other
-    executor.
+    Work reaches the long-lived workers **by pickle**, so work callables
+    must be picklable (the runner's are).  Each ``map`` pickles its
+    callable exactly once, into a private temp file that is removed when
+    the map ends; items are submitted one by one as ``(path, key, item)``,
+    and each worker unpickles the work on its first item of the map and
+    keeps it resident (one map's work per worker).  Results are
+    position-assigned (``map`` output order == input order), and numpy
+    arrays survive pickling bit-exactly, so scores are bitwise identical
+    to every other executor.
 
-    On platforms without ``fork`` the executor degrades to serial
-    execution, like its one-shot sibling.
-
-    Self-healing mirrors :class:`ProcessExecutor`: a dead worker no
-    longer poisons the call — the carcass is dropped, a fresh pool forks
-    (its workers reload the work from the file), and only unfinished items
-    re-run.  With an active fault injector the fault sites wrap each item
-    and results come home in checksummed envelopes.
+    Self-healing: a dead worker never poisons the call — the carcass is
+    dropped, a fresh pool forks (its workers reload the work from the
+    file), and only unfinished items re-run, bounded by
+    ``retry.max_retries`` (0 restores fail-fast).  Per-item collection
+    also detects hung workers, and with an active fault injector the fault
+    sites wrap each item and results come home in checksummed envelopes.
     """
 
     name = "pooled-process"
@@ -660,14 +401,107 @@ class PooledProcessExecutor(CellExecutor):
                 faults = None if plan_text is None else (plan_text, index, attempt)
                 return pool.submit(_resident_call, path, key, items[index], faults)
 
-            results = _resilient_collect(
-                len(items), self._ensure_pool, self._discard_pool, submit,
-                self.retry, recorder,
-            )
+            results = self._collect(len(items), submit, recorder)
         finally:
             os.unlink(path)
         if recorder.recording:
             results = _merge_worker_results(results, recorder)
+        return results
+
+    def _collect(self, n_items: int, submit: Callable, recorder) -> list:
+        """The per-item submit loop the executor recovers through.
+
+        Each round submits every unfinished item (with its attempt count) and
+        collects results in input order.  Crashes (``BrokenProcessPool``),
+        hangs (``tile_timeout`` exceeded) and corrupt result envelopes mark
+        their items failed and — for the first two — condemn the pool, which
+        :meth:`_discard_pool` tears down (killing workers when one is hung)
+        so the next round starts on a fresh fork; items of a condemned pool
+        that already finished are kept, the rest fail without further
+        waiting.  Genuine exceptions raised *by the work* propagate
+        immediately (the round's unstarted items are cancelled): a
+        deterministic bug would fail every retry identically, and masking it
+        as an executor failure would turn a wrong answer into a slow wrong
+        answer.
+
+        ``retry.max_retries`` bounds consecutive rounds that complete zero
+        items; a round with any progress keeps the loop alive, so a pool
+        that crashes repeatedly while still advancing is drained rather than
+        abandoned.  Exhaustion raises
+        :class:`~repro.exceptions.ExecutorBrokenError` with the completed
+        prefix and pending positions, letting callers resume elsewhere.
+        """
+        retry = self.retry
+        results: list = [None] * n_items
+        done = [False] * n_items
+        attempts = [0] * n_items
+        wasted_rounds = 0
+        while not all(done):
+            pending = [i for i in range(n_items) if not done[i]]
+            pool = self._ensure_pool()
+            futures: dict = {}
+            broke = False
+            try:
+                for i in pending:
+                    futures[i] = submit(pool, i, attempts[i])
+            except BrokenProcessPool:
+                # A fast crash can poison the pool while this round is still
+                # being submitted, making submit() itself raise.  Items that
+                # never got a future fail the round; the submitted ones are
+                # harvested below like any other broken-pool round.
+                recorder.counter("executor.worker_crashes")
+                broke = True
+            completed_this_round = 0
+            failed: list[int] = [i for i in pending if i not in futures]
+            hung = False
+            try:
+                for i in pending:
+                    future = futures.get(i)
+                    if future is None:
+                        continue
+                    if (broke or hung) and not future.done():
+                        # The pool is condemned; harvest items that finished
+                        # before the break without blocking on the rest.
+                        failed.append(i)
+                        continue
+                    try:
+                        results[i] = _maybe_unseal(future.result(timeout=retry.tile_timeout))
+                        done[i] = True
+                        completed_this_round += 1
+                    except concurrent.futures.TimeoutError:
+                        recorder.counter("executor.timeouts")
+                        failed.append(i)
+                        hung = True
+                    except _CorruptPayloadError:
+                        recorder.counter("executor.payload_corruptions")
+                        failed.append(i)
+                    except BrokenProcessPool:
+                        recorder.counter("executor.worker_crashes")
+                        failed.append(i)
+                        broke = True
+            except BaseException:
+                for future in futures.values():
+                    future.cancel()
+                raise
+            if broke or hung:
+                self._discard_pool(kill=hung)
+                recorder.counter("executor.pool_rebuilds")
+            if not failed:
+                continue
+            for i in failed:
+                attempts[i] += 1
+            if completed_this_round == 0:
+                wasted_rounds += 1
+                if wasted_rounds > retry.max_retries:
+                    raise ExecutorBrokenError(
+                        "hung worker" if hung else "worker crash or corrupt result",
+                        completed={i: results[i] for i in range(n_items) if done[i]},
+                        pending=tuple(i for i in range(n_items) if not done[i]),
+                        failure_mode=retry.failure_mode,
+                    )
+            recorder.counter("executor.retries", len(failed))
+            with recorder.span("executor.retry", pending=len(failed)):
+                time.sleep(retry.delay(max(0, wasted_rounds - 1)))
         return results
 
     def close(self) -> None:
@@ -691,27 +525,38 @@ class PooledProcessExecutor(CellExecutor):
             except Exception:  # pragma: no cover - teardown must not raise
                 pass
 
-    def __enter__(self) -> "PooledProcessExecutor":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+#: The executor kind names of :func:`make_executor` (and of
+#: ``ExecutionPolicy.executor``).
+EXECUTOR_KINDS = ("serial", "thread", "process")
 
 
-_EXECUTORS = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-}
+def make_executor(
+    kind: str, max_workers: int | None = None, retry: RetryPolicy | None = None
+) -> CellExecutor:
+    """Build the executor of a kind name; the caller owns (and closes) it.
+
+    ``"serial"``, ``"thread"`` and ``"process"`` map to
+    :class:`SerialExecutor`, :class:`PooledThreadExecutor` and
+    :class:`PooledProcessExecutor`.  ``max_workers`` sizes the pools;
+    ``retry`` is the process pool's self-healing contract.
+    """
+    if kind == "serial":
+        return SerialExecutor()
+    if kind == "thread":
+        return PooledThreadExecutor(max_workers)
+    if kind == "process":
+        return PooledProcessExecutor(max_workers, retry=retry)
+    raise ExperimentError(
+        f"unknown executor {kind!r}; expected one of {list(EXECUTOR_KINDS)}"
+    )
 
 
 def get_executor(executor: str | CellExecutor) -> CellExecutor:
-    """Resolve an executor by name (``serial|thread|process``) or pass through."""
+    """Pass an executor through, or build one from its kind name.
+
+    An executor built here from a name is the caller's to close.
+    """
     if isinstance(executor, CellExecutor):
         return executor
-    try:
-        return _EXECUTORS[executor]()
-    except KeyError:
-        raise ExperimentError(
-            f"unknown executor {executor!r}; expected one of {sorted(_EXECUTORS)}"
-        ) from None
+    return make_executor(executor)

@@ -35,10 +35,10 @@ Every entry point funnels into :func:`run_plan_groups`, which splits any
 number of groups into small units — per (group, tile) one *batched* unit
 (the quadratic and Newton plans) and one unit per fold of each generic
 plan (DPME, FP, ...; every plan under ``"percell"``) — and runs them all as
-one map on a :mod:`~repro.runtime.executor` (serial / thread / process),
-largest expected cost first.  Results reduce in (group, tile, plan, fold)
-order, which makes any tiling, executor and dispatch order bitwise
-identical to the untiled serial run.
+one map on a :mod:`~repro.runtime.executor` (serial, or a thread or
+process pool), largest expected cost first.  Results reduce in (group,
+tile, plan, fold) order, which makes any tiling, executor and dispatch
+order bitwise identical to the untiled serial run.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from ..regression.logistic import _validate_xy as _validate_logistic_xy
 from ..regression.logistic import sigmoid
 from ..regression.metrics import mean_squared_error, misclassification_rate
 from .blas import single_blas_thread
-from .executor import CellExecutor, SerialExecutor, ThreadExecutor, get_executor
+from .executor import CellExecutor, PooledThreadExecutor, SerialExecutor, get_executor
 from .kernels import (
     fm_noise_stack,
     newton_logistic_stack,
@@ -242,11 +242,11 @@ def _mapped(executor: CellExecutor, work, items) -> list:
         pending = list(err.pending)
         # The thread stage keeps the failed executor's worker count.
         workers = getattr(executor, "max_workers", None)
-        for stage in (ThreadExecutor(workers), SerialExecutor()):
+        for stage in (PooledThreadExecutor(workers), SerialExecutor()):
             recorder.counter("executor.fallbacks")
             with recorder.span(
                 "executor.fallback", to=stage.name, pending=len(pending)
-            ):
+            ), stage:
                 try:
                     recovered = stage.map(work, [items[i] for i in pending])
                 except Exception:
@@ -795,9 +795,20 @@ def _run_groups(
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def _check_mode(mode: str) -> None:
+def _run(groups, mode: str, executor: str | CellExecutor, span: str, /, **attrs):
+    """Run ``groups`` under one span; close any pool built from a kind name.
+
+    A passed-in executor instance stays open: its owner closes it.
+    """
     if mode not in ("batched", "percell"):
         raise ExperimentError(f"unknown runtime mode {mode!r}; use 'batched' or 'percell'")
+    resolved = get_executor(executor)
+    try:
+        with single_blas_thread(), active_recorder().span(span, mode=mode, **attrs):
+            return _run_groups(groups, mode, resolved)
+    finally:
+        if resolved is not executor:
+            resolved.close()
 
 
 def run_plan(
@@ -821,13 +832,13 @@ def run_plan(
         Where parallel work runs — ``"serial"``, ``"thread"``, ``"process"``
         or a constructed :class:`~repro.runtime.executor.CellExecutor`.
         It runs one batched unit per tile and one unit per generic fold.
+        A pool built here from a kind name is closed before this returns
+        (or raises); a passed-in executor is left open for its owner.
     """
-    _check_mode(mode)
-    resolved = get_executor(executor)
-    with single_blas_thread(), active_recorder().span(
-        "plan.run", mode=mode, algorithm=plan.algorithm, cells=plan.n_cells
-    ):
-        return _run_groups([[plan]], mode, resolved)[0][0]
+    return _run(
+        [[plan]], mode, executor, "plan.run",
+        algorithm=plan.algorithm, cells=plan.n_cells,
+    )[0][0]
 
 
 def run_plan_group(
@@ -870,9 +881,7 @@ def run_plan_groups(
     independent of dispatch order, executor and worker count.
     """
     groups = [list(group) for group in groups]
-    _check_mode(mode)
-    resolved = get_executor(executor)
-    with single_blas_thread(), active_recorder().span(
-        "plan.group", mode=mode, groups=len(groups), plans=sum(map(len, groups))
-    ):
-        return _run_groups(groups, mode, resolved)
+    return _run(
+        groups, mode, executor, "plan.group",
+        groups=len(groups), plans=sum(map(len, groups)),
+    )

@@ -11,7 +11,7 @@ Fit lifecycle and the spend barrier
 A fit request has exactly one irreversible step: the durable budget
 spend.  Everything before it — validation, the statistics snapshot,
 deadline checks — can fail *retryably*; everything after it runs to
-completion, whatever the executors do:
+completion:
 
 1. snapshot the tenant's ``MomentAccumulator`` under the tenant lock
    (immutable view; the lock is released before any heavy work);
@@ -21,17 +21,16 @@ completion, whatever the executors do:
    journal — over-spend is refused with a non-retryable 409, a crash
    inside the spend replays conservatively as spent;
 4. release every epsilon's model as one stacked sweep — one noise row
-   per epsilon, one batched repair and solve for the whole fit — as a
-   single item mapped on the session's configured executor family
-   (every family runs a single-item map in the calling thread), with
-   the remaining deadline propagated into ``tile_timeout`` and
-   ``failure_mode="fallback"`` degrading process → thread → serial, so
-   a committed spend always yields a released model.
+   per epsilon, one batched repair and solve for the whole fit — by a
+   direct call on the request's thread.  The deadline is checked only
+   before the spend: nothing after it can time out, so a committed spend
+   always yields a released model.  The session's executor policy never
+   reaches a fit.
 
 Determinism: the noise row of epsilon ``index`` is drawn from its own
 substream ``derive_substream(seed, [_SERVE_STREAM_TAG, index])`` — a
-pure function of the request, independent of executor, concurrency,
-retries and injected faults — so a fit's
+pure function of the request, independent of execution policy,
+concurrency and injected faults — so a fit's
 :func:`~repro.serve.protocol.fit_digest` under chaos equals the clean
 offline recomputation from the same rows.  Stacking the rows changes no
 byte: the noise mapping works row by row, and the batched ``eigh`` /
@@ -53,11 +52,9 @@ import numpy as np
 from ..engine.sweep import EpsilonSweepEngine
 from ..exceptions import BudgetExhaustedError, DataError
 from ..experiments.harness import objective_for
-from ..faults import RetryPolicy, use_injector
+from ..faults import use_injector
 from ..obs import active_recorder, use_recorder
 from ..privacy.rng import derive_substream
-from ..runtime import ProcessExecutor, SerialExecutor, ThreadExecutor
-from ..runtime.runner import _mapped
 from ..session import Session
 from .protocol import (
     BadRequestError,
@@ -78,10 +75,6 @@ __all__ = ["ServeApp"]
 #: per (request seed, epsilon index), never by execution order.
 _SERVE_STREAM_TAG = 0x53525645
 
-#: Floor for a propagated tile timeout: a deadline that expires mid-fit
-#: still leaves the executor a beat to finish before degradation kicks in.
-_MIN_TILE_TIMEOUT = 0.05
-
 
 def _partition_site(partition: str | None) -> int | None:
     """A stable integer substream key for a partition name.
@@ -98,50 +91,36 @@ def _partition_site(partition: str | None) -> int | None:
     return int(hashlib.sha256(partition.encode()).hexdigest()[:8], 16)
 
 
-class _FitWork:
-    """One fit's Functional-Mechanism release; its one item is all ``(index, eps)``.
+def _release(
+    task: str,
+    dims: int,
+    form,
+    epsilons: tuple[float, ...],
+    seed: int,
+    stream_version: int,
+    partition_site: int | None = None,
+) -> np.ndarray:
+    """One fit's Functional-Mechanism release: one model per epsilon.
 
-    Module-level and built only from picklable state (task name, dims,
-    the snapshot's :class:`~repro.core.polynomial.QuadraticForm`), so
-    process pools can ship it.  Each index draws its standardized noise
-    row from its own keyed substream — executor-independent by
-    construction — and the stacked ``(k, 1 + d + d^2)`` sample is released
-    by one :meth:`~repro.engine.sweep.EpsilonSweepEngine.sweep_from_draws`.
+    Epsilon ``index`` draws its standardized noise row from its own keyed
+    substream, and the stacked ``(k, 1 + d + d^2)`` sample is released by
+    one :meth:`~repro.engine.sweep.EpsilonSweepEngine.sweep_from_draws`.
     """
-
-    def __init__(
-        self,
-        task: str,
-        dims: int,
-        form,
-        seed: int,
-        stream_version: int,
-        partition_site: int | None = None,
-    ) -> None:
-        self.task = task
-        self.dims = dims
-        self.form = form
-        self.seed = seed
-        self.stream_version = stream_version
-        self.partition_site = partition_site
-
-    def __call__(self, item: tuple[tuple[int, float], ...]) -> np.ndarray:
-        d = self.dims
-        prefix = [_SERVE_STREAM_TAG]
-        if self.partition_site is not None:
-            prefix.append(self.partition_site)
-        raw = np.concatenate([
-            derive_substream(
-                self.seed, [*prefix, index], stream_version=self.stream_version
-            ).laplace(0.0, 1.0, size=(1, 1 + d + d * d))
-            for index, _ in item
-        ])
-        # sweep_from_draws counts no draws (federated callers inject draws
-        # they never made), so the draws are counted where they are made.
-        active_recorder().counter("engine.laplace_draws", raw.size)
-        engine = EpsilonSweepEngine(objective_for(self.task, d), self.form)
-        epsilons = [epsilon for _, epsilon in item]
-        return engine.sweep_from_draws(epsilons, raw).coefficients
+    d = dims
+    prefix = [_SERVE_STREAM_TAG]
+    if partition_site is not None:
+        prefix.append(partition_site)
+    raw = np.concatenate([
+        derive_substream(
+            seed, [*prefix, index], stream_version=stream_version
+        ).laplace(0.0, 1.0, size=(1, 1 + d + d * d))
+        for index in range(len(epsilons))
+    ])
+    # sweep_from_draws counts no draws (federated callers inject draws
+    # they never made), so the draws are counted where they are made.
+    active_recorder().counter("engine.laplace_draws", raw.size)
+    engine = EpsilonSweepEngine(objective_for(task, d), form)
+    return engine.sweep_from_draws(list(epsilons), raw).coefficients
 
 
 class ServeApp:
@@ -184,7 +163,7 @@ class ServeApp:
         self._closed = False
         self._close_lock = threading.Lock()
         # The ambient recorder/injector slots are module globals shared by
-        # every thread — by design, so forked pool workers inherit them.
+        # every thread — by design, so executor worker threads see them.
         # Entering/exiting them per request on concurrent handler threads
         # would race the save/restore (and could leak the fault injector
         # past the app's life), so the service installs its session's
@@ -276,8 +255,7 @@ class ServeApp:
                 statistics = acc.snapshot()
                 n_rows = acc.n_rows
             # Last retryable exit: past this point the spend is durable and
-            # the fit runs to completion (the fallback chain floors at
-            # serial execution in this very process).
+            # the fit runs to completion on this thread.
             if deadline is not None and deadline.expired:
                 raise DeadlineExceededError(
                     "deadline expired before budget spend", tenant=name
@@ -302,9 +280,10 @@ class ServeApp:
                     requested=exc.requested,
                     remaining=exc.remaining,
                 ) from None
-            omegas = self._execute_fit(
-                task, dims, statistics, epsilons, seed, deadline,
-                partition=partition,
+            omegas = _release(
+                task, dims, statistics.quadratic_form(objective_for(task, dims)),
+                epsilons, seed, self.session.policy.stream_version,
+                partition_site=_partition_site(partition),
             )
             digest = fit_digest(task, dims, epsilons, seed, n_rows, omegas)
             recorder.counter("serve.fits")
@@ -325,65 +304,6 @@ class ServeApp:
                 response["partition"] = partition
                 response["partition_epsilon"] = requested
             return response
-
-    def _fit_executor(self, deadline: Deadline | None):
-        """A per-request executor honoring policy + the remaining deadline.
-
-        Fresh per request on purpose: concurrent fits must not share one
-        pool's rebuild state, and ``tile_timeout`` is a per-request value
-        (the deadline's remainder), which a shared pool cannot carry.
-        Timeout enforcement is a process-executor capability; serial and
-        thread fits run to completion (and are the fallback floor anyway).
-        """
-        policy = self.session.policy
-        if policy.executor == "thread":
-            return ThreadExecutor(policy.max_workers)
-        if policy.executor == "serial":
-            return SerialExecutor()
-        timeout = policy.tile_timeout
-        if deadline is not None:
-            remaining = max(deadline.remaining(), _MIN_TILE_TIMEOUT)
-            timeout = remaining if timeout is None else min(timeout, remaining)
-        retry = RetryPolicy(
-            max_retries=policy.max_retries,
-            tile_timeout=timeout,
-            failure_mode=policy.failure_mode,
-        )
-        return ProcessExecutor(policy.max_workers, retry=retry)
-
-    def _execute_fit(
-        self,
-        task: str,
-        dims: int,
-        statistics,
-        epsilons: tuple[float, ...],
-        seed: int,
-        deadline: Deadline | None,
-        partition: str | None = None,
-    ) -> np.ndarray:
-        """Release one model per epsilon; completion is unconditional.
-
-        The whole fit is a single executor item (one stacked release).
-        ``_mapped`` supplies the graceful-degradation chain: a process
-        executor broken past its retries under ``failure_mode="fallback"``
-        re-runs the fit on a thread pool, then serially —
-        bitwise-identically, since every epsilon's stream is keyed, not
-        positional.
-        """
-        objective = objective_for(task, dims)
-        form = statistics.quadratic_form(objective)
-        work = _FitWork(
-            task, dims, form, seed, self.session.policy.stream_version,
-            partition_site=_partition_site(partition),
-        )
-        executor = self._fit_executor(deadline)
-        try:
-            (omegas,) = _mapped(executor, work, [tuple(enumerate(epsilons))])
-        finally:
-            close = getattr(executor, "close", None)
-            if close is not None:
-                close()
-        return omegas
 
     def status(self, name: str) -> dict:
         with self.registry.lease(name) as tenant, self._scope(

@@ -26,7 +26,8 @@ hint — the bounded-queue alternative to unbounded buffering, asserted by
 tests.  Health probes bypass admission entirely (an overloaded service
 must still report itself alive).  Queue wait counts against the request's
 deadline (``X-Deadline-Ms`` header or ``deadline_ms`` body field), which
-the app propagates into the executor's ``tile_timeout``.
+the app checks only before the budget spend; nothing propagates it into
+an executor's ``tile_timeout``.
 
 Shutdown drains: stop accepting, wait briefly for in-flight requests,
 snapshot every tenant, close the session (which closes every tenant's

@@ -60,6 +60,7 @@ from typing import Mapping
 from ..exceptions import ExperimentError
 from ..experiments.config import PRESETS, ScalePreset, preset_by_name
 from ..faults import FAILURE_MODES, FaultPlan
+from ..runtime.executor import EXECUTOR_KINDS
 
 __all__ = [
     "DEFAULT_STREAM_VERSION",
@@ -96,7 +97,6 @@ POLICY_ENV_VARS: dict[str, str] = {
 }
 
 _RUNTIMES = ("batched", "percell", "engine", "auto")
-_EXECUTORS = ("serial", "thread", "process")
 _TELEMETRY = ("off", "summary", "trace")
 
 
@@ -224,9 +224,9 @@ class ExecutionPolicy:
             raise ExperimentError(
                 f"runtime must be one of {_RUNTIMES}, got {self.runtime!r}"
             )
-        if self.executor not in _EXECUTORS:
+        if self.executor not in EXECUTOR_KINDS:
             raise ExperimentError(
-                f"executor must be one of {_EXECUTORS}, got {self.executor!r}"
+                f"executor must be one of {EXECUTOR_KINDS}, got {self.executor!r}"
             )
         for field in ("max_workers", "tile_size"):
             value = getattr(self, field)

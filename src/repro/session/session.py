@@ -7,9 +7,8 @@ state that should outlive a single call:
   arrays and fold-level moment blocks reuse across *calls*, not just
   across the algorithms of one panel (bit-exactly: the cache only ever
   shares identical values);
-* a lazily created, **reusable executor pool** — one
-  :class:`~repro.runtime.PooledThreadExecutor` /
-  :class:`~repro.runtime.PooledProcessExecutor` held until
+* a lazily created, **reusable executor pool** — the policy's kind built
+  by :func:`~repro.runtime.make_executor` and held until
   :meth:`Session.close`;
 * a dataset registry — :meth:`Session.dataset` loads and caches the
   census tables at the policy's scale.
@@ -39,6 +38,7 @@ configure an unmodified CLI invocation end to end.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -56,13 +56,7 @@ from ..experiments.harness import (
     _evaluate_algorithms,
     _evaluate_fm_budget_sweep,
 )
-from ..runtime import (
-    CellExecutor,
-    PooledProcessExecutor,
-    PooledThreadExecutor,
-    PreparedDataCache,
-    SerialExecutor,
-)
+from ..runtime import CellExecutor, PreparedDataCache, make_executor
 from .policy import ExecutionPolicy
 from .registry import run_figure
 
@@ -87,9 +81,10 @@ class Session:
         Policy fields to :meth:`~ExecutionPolicy.derive` over ``policy``
         (``Session(executor="thread", tile_size=1)`` is shorthand).
 
-    Every entry point also takes ``executor=``: a
-    :class:`~repro.runtime.CellExecutor` instance (or kind name) used for
-    that call instead of the session's held pool.
+    Every entry point also takes ``executor=``, used for that call instead
+    of the session's held pool: a :class:`~repro.runtime.CellExecutor`
+    instance, or a kind name, which builds a pool under this session's
+    policy (width, retries, timeout, failure mode) closed after the call.
     """
 
     def __init__(self, policy: ExecutionPolicy | None = None, **overrides) -> None:
@@ -145,23 +140,36 @@ class Session:
         """The session's fault injector (the shared no-op when unconfigured)."""
         return self._injector
 
+    def _make_executor(self, kind: str) -> CellExecutor:
+        """A new executor of ``kind`` under the policy's width and retries."""
+        retry = RetryPolicy(
+            max_retries=self.policy.max_retries,
+            tile_timeout=self.policy.tile_timeout,
+            failure_mode=self.policy.failure_mode,
+        )
+        return make_executor(kind, self.policy.max_workers, retry)
+
     def executor(self) -> CellExecutor:
         """The session's executor (created lazily, reused across calls)."""
         if self._executor is None:
-            kind = self.policy.executor
-            workers = self.policy.max_workers
-            if kind == "serial":
-                self._executor = SerialExecutor()
-            elif kind == "thread":
-                self._executor = PooledThreadExecutor(workers)
-            else:
-                retry = RetryPolicy(
-                    max_retries=self.policy.max_retries,
-                    tile_timeout=self.policy.tile_timeout,
-                    failure_mode=self.policy.failure_mode,
-                )
-                self._executor = PooledProcessExecutor(workers, retry=retry)
+            self._executor = self._make_executor(self.policy.executor)
         return self._executor
+
+    @contextmanager
+    def _call_executor(self, executor: str | CellExecutor | None):
+        """The executor one entry-point call runs on.
+
+        ``None`` is the held pool; a kind name builds a pool under this
+        session's policy for the call alone and closes it after; an
+        executor instance is used as given (its owner closes it).
+        """
+        if executor is None:
+            yield self.executor()
+        elif isinstance(executor, str):
+            with self._make_executor(executor) as built:
+                yield built
+        else:
+            yield executor
 
     def dataset(
         self, country: str, max_records: int | None = _UNSET
@@ -320,7 +328,7 @@ class Session:
         """
         with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.evaluate", algorithm=algorithm, task=task
-        ):
+        ), self._call_executor(executor) as resolved:
             return _evaluate_algorithm(
                 algorithm,
                 dataset,
@@ -330,7 +338,7 @@ class Session:
                 *self._resolved(preset, sampling_rate, seed),
                 algorithm_kwargs=algorithm_kwargs,
                 runtime=self._point_runtime(),
-                executor=self.executor() if executor is None else executor,
+                executor=resolved,
                 tile_size=self.policy.tile_size,
                 stream_version=self.policy.stream_version,
                 prepared_cache=self._prepared_cache,
@@ -352,7 +360,7 @@ class Session:
         """Evaluate an algorithm panel as one grouped run (keyed by name)."""
         with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.evaluate_panel", algorithms=list(algorithms), task=task
-        ):
+        ), self._call_executor(executor) as resolved:
             return _evaluate_algorithms(
                 algorithms,
                 dataset,
@@ -361,7 +369,7 @@ class Session:
                 epsilon,
                 *self._resolved(preset, sampling_rate, seed),
                 runtime=self._point_runtime(),
-                executor=self.executor() if executor is None else executor,
+                executor=resolved,
                 tile_size=self.policy.tile_size,
                 stream_version=self.policy.stream_version,
                 prepared_cache=self._prepared_cache,
@@ -390,7 +398,7 @@ class Session:
         """
         with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.budget_sweep", task=task, points=len(epsilons)
-        ):
+        ), self._call_executor(executor) as resolved:
             return _evaluate_fm_budget_sweep(
                 dataset,
                 task,
@@ -401,7 +409,7 @@ class Session:
                 post_processing=post_processing,
                 tight_sensitivity=tight_sensitivity,
                 runtime=self.policy.runtime if runtime is None else runtime,
-                executor=self.executor() if executor is None else executor,
+                executor=resolved,
                 tile_size=self.policy.tile_size,
                 stream_version=self.policy.stream_version,
                 prepared_cache=self._prepared_cache,
@@ -430,7 +438,7 @@ class Session:
         preset, _, seed = self._resolved(preset, None, seed)
         with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.sweep", parameter=parameter, figure=figure
-        ):
+        ), self._call_executor(executor) as resolved:
             return _accuracy_sweep(
                 dataset,
                 task,
@@ -441,7 +449,7 @@ class Session:
                 algorithms=algorithms,
                 seed=seed,
                 runtime=self._point_runtime(),
-                executor=self.executor() if executor is None else executor,
+                executor=resolved,
                 tile_size=self.policy.tile_size,
                 stream_version=self.policy.stream_version,
                 prepared_cache=self._prepared_cache,
@@ -475,7 +483,7 @@ class Session:
         preset, _, seed = self._resolved(preset, None, seed)
         with use_recorder(self._recorder), use_injector(self._injector), self._recorder.span(
             "session.figure", figure=name
-        ):
+        ), self._call_executor(executor) as resolved:
             return run_figure(
                 name,
                 dataset,
@@ -483,7 +491,7 @@ class Session:
                 preset=preset,
                 seed=seed,
                 runtime=self._point_runtime(),
-                executor=self.executor() if executor is None else executor,
+                executor=resolved,
                 tile_size=self.policy.tile_size,
                 stream_version=self.policy.stream_version,
                 values=values,

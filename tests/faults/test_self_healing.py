@@ -19,12 +19,10 @@ from repro.faults import FaultPlan, RetryPolicy, make_injector, use_injector
 from repro.obs import make_recorder, use_recorder
 from repro.runtime import (
     PooledProcessExecutor,
-    ProcessExecutor,
+    PooledThreadExecutor,
     SerialExecutor,
-    ThreadExecutor,
     runner,
 )
-from repro.runtime.executor import _SHARED_WORK
 from repro.runtime.runner import _mapped
 
 
@@ -42,12 +40,6 @@ def _chaos(spec: str):
 
 
 class TestCrashRecovery:
-    def test_one_shot_process_recovers_from_certain_crash(self):
-        items = list(range(6))
-        executor = ProcessExecutor(max_workers=2)
-        with _chaos("seed=2;worker.crash=1.0x1"):
-            assert executor.map(_square, items) == [v * v for v in items]
-
     def test_pooled_process_recovers_from_certain_crash(self):
         items = list(range(6))
         with PooledProcessExecutor(max_workers=2) as executor:
@@ -59,9 +51,9 @@ class TestCrashRecovery:
     def test_payload_corruption_detected_and_retried(self):
         items = list(range(5))
         recorder = make_recorder("summary")
-        executor = ProcessExecutor(max_workers=2)
-        with use_recorder(recorder), _chaos("seed=4;payload.corrupt=1.0x1"):
-            assert executor.map(_square, items) == [v * v for v in items]
+        with PooledProcessExecutor(max_workers=2) as executor:
+            with use_recorder(recorder), _chaos("seed=4;payload.corrupt=1.0x1"):
+                assert executor.map(_square, items) == [v * v for v in items]
         counters = recorder.summary()["counters"]
         assert counters.get("executor.payload_corruptions", 0) >= 1
         assert counters.get("executor.retries", 0) >= 1
@@ -69,12 +61,12 @@ class TestCrashRecovery:
     def test_hung_tile_times_out_and_retries(self):
         items = list(range(3))
         retry = RetryPolicy(tile_timeout=0.5, backoff_seconds=0.01)
-        executor = ProcessExecutor(max_workers=2, retry=retry)
-        with _chaos("seed=6;hang=30.0;tile.hang=1.0x1"):
-            start = time.monotonic()
-            assert executor.map(_square, items) == [v * v for v in items]
-            # recovery must come from the timeout, not from waiting out the hang
-            assert time.monotonic() - start < 25.0
+        with PooledProcessExecutor(max_workers=2, retry=retry) as executor:
+            with _chaos("seed=6;hang=30.0;tile.hang=1.0x1"):
+                start = time.monotonic()
+                assert executor.map(_square, items) == [v * v for v in items]
+                # recovery must come from the timeout, not from waiting out the hang
+                assert time.monotonic() - start < 25.0
 
     def test_real_killed_pool_worker_recovers(self):
         """Not an injected crash: SIGKILL a live worker process and assert
@@ -100,10 +92,10 @@ class TestCrashRecovery:
 class TestRetryExhaustion:
     def test_raise_mode_surfaces_broken_error_with_progress(self):
         retry = RetryPolicy(max_retries=1, backoff_seconds=0.01)
-        executor = ProcessExecutor(max_workers=2, retry=retry)
-        with _chaos("seed=2;worker.crash=1.0x99"):
-            with pytest.raises(ExecutorBrokenError) as excinfo:
-                executor.map(_square, list(range(4)))
+        with PooledProcessExecutor(max_workers=2, retry=retry) as executor:
+            with _chaos("seed=2;worker.crash=1.0x99"):
+                with pytest.raises(ExecutorBrokenError) as excinfo:
+                    executor.map(_square, list(range(4)))
         error = excinfo.value
         assert error.failure_mode == "raise"
         assert set(error.completed) | set(error.pending) == set(range(4))
@@ -112,40 +104,42 @@ class TestRetryExhaustion:
         retry = RetryPolicy(
             max_retries=0, backoff_seconds=0.01, failure_mode="fallback"
         )
-        executor = ProcessExecutor(max_workers=2, retry=retry)
         items = list(range(5))
         recorder = make_recorder("summary")
-        with use_recorder(recorder), _chaos("seed=2;worker.crash=1.0x99"):
-            assert _mapped(executor, _square, items) == [v * v for v in items]
+        with PooledProcessExecutor(max_workers=2, retry=retry) as executor:
+            with use_recorder(recorder), _chaos("seed=2;worker.crash=1.0x99"):
+                assert _mapped(executor, _square, items) == [v * v for v in items]
         counters = recorder.summary()["counters"]
         assert counters.get("executor.fallbacks", 0) >= 1
 
     def test_fallback_keeps_the_failed_executors_worker_count(self, monkeypatch):
         """The thread stage must use the broken executor's ``max_workers``,
-        not ``ThreadExecutor()``'s ``min(8, cpu_count)`` default."""
+        not the thread pool's ``min(8, cpu_count)`` default, and must be
+        closed once the stage ends."""
         built = []
 
-        class SpyThreadExecutor(ThreadExecutor):
+        class SpyThreadExecutor(PooledThreadExecutor):
             def __init__(self, max_workers=None):
                 super().__init__(max_workers)
-                built.append(self.max_workers)
+                built.append(self)
 
-        monkeypatch.setattr(runner, "ThreadExecutor", SpyThreadExecutor)
+        monkeypatch.setattr(runner, "PooledThreadExecutor", SpyThreadExecutor)
         retry = RetryPolicy(
             max_retries=0, backoff_seconds=0.01, failure_mode="fallback"
         )
-        executor = ProcessExecutor(max_workers=3, retry=retry)
         items = list(range(5))
-        with _chaos("seed=2;worker.crash=1.0x99"):
-            assert _mapped(executor, _square, items) == [v * v for v in items]
-        assert built == [3]
+        with PooledProcessExecutor(max_workers=3, retry=retry) as executor:
+            with _chaos("seed=2;worker.crash=1.0x99"):
+                assert _mapped(executor, _square, items) == [v * v for v in items]
+        assert [stage.max_workers for stage in built] == [3]
+        assert built[0].pool is None
 
     def test_zero_retries_restores_fail_fast(self):
         retry = RetryPolicy(max_retries=0, backoff_seconds=0.01)
-        executor = ProcessExecutor(max_workers=2, retry=retry)
-        with _chaos("seed=2;worker.crash=1.0x99"):
-            with pytest.raises(ExecutorBrokenError):
-                executor.map(_square, list(range(3)))
+        with PooledProcessExecutor(max_workers=2, retry=retry) as executor:
+            with _chaos("seed=2;worker.crash=1.0x99"):
+                with pytest.raises(ExecutorBrokenError):
+                    executor.map(_square, list(range(3)))
 
 
 class TestGenuineExceptions:
@@ -153,28 +147,10 @@ class TestGenuineExceptions:
         """A deterministic bug must fail immediately — retrying it would
         only turn a wrong answer into a slow wrong answer."""
         recorder = make_recorder("summary")
-        executor = ProcessExecutor(max_workers=2)
-        with use_recorder(recorder):
+        with use_recorder(recorder), PooledProcessExecutor(max_workers=2) as executor:
             with pytest.raises(ValueError, match="genuine bug"):
                 executor.map(_boom, list(range(3)))
         assert recorder.summary()["counters"].get("executor.retries", 0) == 0
-
-    def test_shared_work_registry_never_leaks(self):
-        """Satellite regression: a raising work item must not leave its
-        fork-sharing token behind (mapped twice to catch growth)."""
-        executor = ProcessExecutor(max_workers=2)
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                executor.map(_boom, list(range(3)))
-        assert len(_SHARED_WORK) == 0
-        # the chaos path releases its token too, even through fallback
-        retry = RetryPolicy(
-            max_retries=0, backoff_seconds=0.01, failure_mode="fallback"
-        )
-        chaotic = ProcessExecutor(max_workers=2, retry=retry)
-        with _chaos("seed=2;worker.crash=1.0x99"):
-            _mapped(chaotic, _square, list(range(3)))
-        assert len(_SHARED_WORK) == 0
 
 
 class TestChaosNeutralityProperty:
@@ -188,23 +164,12 @@ class TestChaosNeutralityProperty:
         seed=st.integers(min_value=0, max_value=2**16),
         n_items=st.integers(min_value=1, max_value=6),
         probability=st.sampled_from([0.5, 1.0]),
-        pooled=st.booleans(),
     )
-    def test_recovered_map_equals_serial_map(
-        self, site, seed, n_items, probability, pooled
-    ):
+    def test_recovered_map_equals_serial_map(self, site, seed, n_items, probability):
         items = list(range(n_items))
         expected = SerialExecutor().map(_square, items)
         retry = RetryPolicy(max_retries=3, backoff_seconds=0.01)
-        executor = (
-            PooledProcessExecutor(max_workers=2, retry=retry)
-            if pooled
-            else ProcessExecutor(max_workers=2, retry=retry)
-        )
         plan = FaultPlan.parse(f"seed={seed};{site}={probability}x1")
-        try:
+        with PooledProcessExecutor(max_workers=2, retry=retry) as executor:
             with use_injector(make_injector(plan)):
                 assert executor.map(_square, items) == expected
-        finally:
-            if pooled:
-                executor.close()

@@ -16,11 +16,7 @@ from repro.obs import (
     summarize_trace,
     use_recorder,
 )
-from repro.runtime import (
-    PooledProcessExecutor,
-    PooledThreadExecutor,
-    ProcessExecutor,
-)
+from repro.runtime import PooledProcessExecutor, PooledThreadExecutor
 from repro.session import ExecutionPolicy, Session
 
 
@@ -83,13 +79,18 @@ class TestExecutorMerge:
         gauges = recorder.summary()["gauges"]
         assert gauges["process.pickled_bytes_per_call"]["max"] > 0
 
-    def test_oneshot_process_counters_complete(self):
+    def test_closed_and_rebuilt_process_pool_counters_complete(self):
         items = list(range(6))
         recorder = TraceRecorder(mode="trace")
+        executor = PooledProcessExecutor(max_workers=2)
         with use_recorder(recorder):
-            results = ProcessExecutor(max_workers=2).map(_counting_work, items)
+            results = []
+            for half in (items[:3], items[3:]):
+                with executor:
+                    results += executor.map(_counting_work, half)
         assert results == [v * 2 for v in items]
         self._assert_complete(recorder, items)
+        assert recorder.summary()["counters"]["pool.created"] == 2
 
     def test_worker_spans_reparent_under_anchor(self):
         recorder = TraceRecorder(mode="trace")

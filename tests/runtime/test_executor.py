@@ -1,31 +1,46 @@
 """Executors must change where cells run, never what they compute."""
 
+import multiprocessing
+
 import pytest
 
 from repro.exceptions import ExperimentError
+from repro.faults import RetryPolicy
 from repro.runtime import (
-    ProcessExecutor,
+    EXECUTOR_KINDS,
+    PooledProcessExecutor,
+    PooledThreadExecutor,
     SerialExecutor,
-    ThreadExecutor,
     get_executor,
+    make_executor,
     plan_cells,
     run_plan,
+    runner,
 )
+from repro.runtime import executor as executor_module
 
 
 class TestGetExecutor:
     def test_by_name(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("thread"), ThreadExecutor)
-        assert isinstance(get_executor("process"), ProcessExecutor)
+        assert isinstance(get_executor("thread"), PooledThreadExecutor)
+        assert isinstance(get_executor("process"), PooledProcessExecutor)
 
     def test_passthrough(self):
-        executor = ThreadExecutor(max_workers=2)
+        executor = PooledThreadExecutor(max_workers=2)
         assert get_executor(executor) is executor
 
     def test_unknown_rejected(self):
         with pytest.raises(ExperimentError):
             get_executor("gpu")
+
+    def test_factory_carries_width_and_retry(self):
+        retry = RetryPolicy(max_retries=0, tile_timeout=5.0, failure_mode="fallback")
+        thread = make_executor("thread", 3, retry)
+        process = make_executor("process", 3, retry)
+        assert thread.max_workers == 3
+        assert (process.max_workers, process.retry) == (3, retry)
+        assert EXECUTOR_KINDS == ("serial", "thread", "process")
 
 
 class TestExecutorMap:
@@ -34,22 +49,35 @@ class TestExecutorMap:
 
     def test_thread_preserves_order(self):
         items = list(range(32))
-        assert ThreadExecutor(max_workers=4).map(lambda v: v * v, items) == [
-            v * v for v in items
-        ]
+        with PooledThreadExecutor(max_workers=4) as executor:
+            assert executor.map(lambda v: v * v, items) == [v * v for v in items]
 
     def test_process_preserves_order(self):
         items = list(range(8))
-        assert ProcessExecutor(max_workers=2).map(_square, items) == [
-            v * v for v in items
-        ]
+        with PooledProcessExecutor(max_workers=2) as executor:
+            assert executor.map(_square, items) == [v * v for v in items]
 
     def test_single_item_short_circuits(self):
-        assert ProcessExecutor().map(lambda v: v + 1, [41]) == [42]
+        executor = PooledProcessExecutor()
+        assert executor.map(lambda v: v + 1, [41]) == [42]
+        assert executor.pool is None  # never forked
 
 
 def _square(v):
     return v * v
+
+
+@pytest.fixture
+def work_dir(tmp_path, monkeypatch):
+    """Route the process executor's work files into a listable directory."""
+    monkeypatch.setattr(executor_module, "_WORK_DIR", str(tmp_path))
+    return tmp_path
+
+
+def _assert_released(work_dir):
+    """No pool worker survives the run, and no work file is left behind."""
+    assert multiprocessing.active_children() == []
+    assert list(work_dir.glob("repro-work-*")) == []
 
 
 class TestExecutorScoreParity:
@@ -59,12 +87,24 @@ class TestExecutorScoreParity:
             "DPME", us, "linear", dims=5, epsilons=[0.8], preset=tiny_preset, seed=2
         )
 
-    def test_thread_matches_serial(self, plan):
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_matches_serial_and_closes_its_pool(self, plan, kind, work_dir):
         serial = run_plan(plan, mode="percell", executor="serial")
-        threaded = run_plan(plan, mode="percell", executor="thread")
-        assert serial.scores[0.8] == threaded.scores[0.8]
+        pooled = run_plan(plan, mode="percell", executor=kind)
+        assert serial.scores[0.8] == pooled.scores[0.8]
+        _assert_released(work_dir)
 
-    def test_process_matches_serial(self, plan):
-        serial = run_plan(plan, mode="percell", executor="serial")
-        forked = run_plan(plan, mode="percell", executor="process")
-        assert serial.scores[0.8] == forked.scores[0.8]
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_raising_run_closes_its_pool(self, plan, kind, work_dir, monkeypatch):
+        def broken_fold(plan, index):
+            raise ValueError(f"genuine bug in fold {index}")
+
+        monkeypatch.setattr(runner, "_run_fold", broken_fold)
+        with pytest.raises(ValueError, match="genuine bug"):
+            run_plan(plan, mode="percell", executor=kind)
+        _assert_released(work_dir)
+
+    def test_passed_in_executor_stays_open(self, plan):
+        with PooledProcessExecutor(max_workers=2) as executor:
+            run_plan(plan, mode="percell", executor=executor)
+            assert executor.pool is not None

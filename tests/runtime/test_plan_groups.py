@@ -17,9 +17,9 @@ from repro.experiments.config import PRIVACY_BUDGETS, ScalePreset
 from repro.experiments.harness import _plan_algorithms
 from repro.runtime import (
     PooledProcessExecutor,
+    PooledThreadExecutor,
     PreparedDataCache,
     SerialExecutor,
-    ThreadExecutor,
     run_plan,
     run_plan_group,
     run_plan_groups,
@@ -74,7 +74,7 @@ def reference(us):
 def _executors():
     return {
         "serial": lambda: SerialExecutor(),
-        "thread": lambda: ThreadExecutor(max_workers=2),
+        "thread": lambda: PooledThreadExecutor(max_workers=2),
         "pooled-process": lambda: PooledProcessExecutor(max_workers=2),
     }
 
@@ -87,11 +87,8 @@ class TestSweepAsOneMap:
         self, us, reference, task, protocol, executor_name
     ):
         groups = _sweep_groups(us, task, PROTOCOLS[protocol])
-        executor = _executors()[executor_name]()
-        try:
+        with _executors()[executor_name]() as executor:
             swept = run_plan_groups(groups, mode="batched", executor=executor)
-        finally:
-            getattr(executor, "close", lambda: None)()
         per_point, percell = reference[task, protocol]
         assert _fingerprint(swept) == _fingerprint(per_point)
         for got, want in zip(swept, percell):
@@ -130,7 +127,8 @@ class TestSweepAsOneMap:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            swept = run_plan_groups(groups, executor=ThreadExecutor(max_workers=8))
+            with PooledThreadExecutor(max_workers=8) as executor:
+                swept = run_plan_groups(groups, executor=executor)
         finally:
             sys.setswitchinterval(interval)
         per_point, _ = reference["linear", "three-tiles"]

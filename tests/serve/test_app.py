@@ -153,7 +153,10 @@ class TestDeterminism:
         )
         assert serial == thread == process
 
-    def test_digest_survives_worker_crashes(self, tmp_path):
+    def test_digest_is_neutral_to_a_worker_crash_plan(self, tmp_path):
+        """A fit runs on the request's thread, never in a pool worker, so a
+        ``worker.crash`` fault plan has no site to fire at: the digest
+        must equal the fault-free one."""
         clean = self._digest(tmp_path, "clean", executor="process", max_workers=2)
         chaos = self._digest(
             tmp_path, "chaos", executor="process", max_workers=2,
@@ -161,10 +164,10 @@ class TestDeterminism:
         )
         assert chaos == clean
 
-    def test_digest_survives_full_fallback_chain(self, tmp_path):
-        # enough certain crashes to break the process pool past its
-        # retries: failure_mode="fallback" degrades to threads/serial and
-        # the keyed substreams keep the released models bitwise identical
+    def test_digest_is_neutral_to_retry_and_fallback_policy(self, tmp_path):
+        """Neither a crash plan that would exhaust a process pool's
+        retries nor the retry/fallback policy reaches a fit: the keyed
+        substreams keep the released models bitwise identical."""
         clean = self._digest(tmp_path, "clean", executor="process", max_workers=2)
         degraded = self._digest(
             tmp_path, "degraded", executor="process", max_workers=2,

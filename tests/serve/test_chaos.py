@@ -97,9 +97,10 @@ class TestLiveChaos:
                 f"fit seed={seed} diverged under chaos"
             )
 
-    def test_worker_crashes_are_invisible_in_results(self, tmp_path):
-        # certain crash on the first triggers: the fallback chain must
-        # still release every model, bitwise
+    def test_worker_crash_plan_is_neutral_in_results(self, tmp_path):
+        """Fits run on the handler thread, not in pool workers, so a
+        certain ``worker.crash`` plan fires nowhere: every model is
+        released, bitwise equal to the clean run."""
         clean_data, clean = _serve_and_load(tmp_path, "c2-clean")
         chaos_data, chaos = _serve_and_load(
             tmp_path, "c2-chaos", faults="seed=11;worker.crash=1.0x2"

@@ -13,7 +13,7 @@ from repro.engine.accumulator import MomentAccumulator
 from repro.engine.sweep import EpsilonSweepEngine
 from repro.experiments.harness import objective_for
 from repro.privacy.rng import derive_substream
-from repro.serve.app import _SERVE_STREAM_TAG, ServeApp, _FitWork, _partition_site
+from repro.serve.app import _SERVE_STREAM_TAG, ServeApp, _partition_site, _release
 from repro.serve.loadgen import synthetic_batch
 from repro.session import ExecutionPolicy, Session
 
@@ -60,8 +60,9 @@ class TestStackedEqualsPerEpsilonLoop:
     def test_bytes_equal(self, task, dims, epsilons, partition, seed):
         form = _form(task, dims)
         site = _partition_site(partition)
-        work = _FitWork(task, dims, form, seed, STREAM_VERSION, partition_site=site)
-        stacked = work(tuple(enumerate(epsilons)))
+        stacked = _release(
+            task, dims, form, epsilons, seed, STREAM_VERSION, partition_site=site
+        )
         expected, _ = _reference(task, dims, form, epsilons, seed, site)
         assert stacked.shape == (len(epsilons), dims)
         assert stacked.tobytes() == expected.tobytes()
@@ -75,12 +76,11 @@ class TestStackedEqualsPerEpsilonLoop:
 
     def test_partitions_draw_their_own_noise(self):
         form = _form("linear", 13)
-        items = tuple(enumerate(SIX_BUDGETS))
-        plain = _FitWork("linear", 13, form, 17, STREAM_VERSION)(items)
-        east = _FitWork(
-            "linear", 13, form, 17, STREAM_VERSION,
+        plain = _release("linear", 13, form, SIX_BUDGETS, 17, STREAM_VERSION)
+        east = _release(
+            "linear", 13, form, SIX_BUDGETS, 17, STREAM_VERSION,
             partition_site=_partition_site("east"),
-        )(items)
+        )
         assert not np.array_equal(plain, east)
 
 
@@ -118,11 +118,13 @@ def _served(tmp_path, name, task, dims, epsilons, partition=None, **policy):
     return served, expected
 
 
+#: Execution policies and fault plans a served fit must be neutral to.  A
+#: fit never reaches a pool worker, so none of them changes a byte.
 _EXECUTORS = {
     "serial": dict(executor="serial"),
     "thread": dict(executor="thread", max_workers=2),
     "process": dict(executor="process", max_workers=2),
-    "process-crash": dict(
+    "process-crash-plan": dict(
         executor="process", max_workers=2, faults="seed=5;worker.crash=1.0x1"
     ),
 }

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.exceptions import ExperimentError
+from repro.faults import RetryPolicy
 from repro.runtime import (
     PooledProcessExecutor,
     PooledThreadExecutor,
@@ -109,6 +110,35 @@ class TestExecutorOwnership:
             assert executor.pool is pool
             assert set(pool._processes) == pids
         assert a.cells == b.cells == tiny_preset.folds * tiny_preset.repetitions
+
+    def test_kind_name_override_runs_under_the_session_policy(
+        self, tiny_dataset, tiny_preset, monkeypatch
+    ):
+        """``executor="process"`` on one call builds its pool from the
+        session's policy (width, retries, timeout, failure mode), not from
+        the executor defaults, and closes it before returning."""
+        seen = []
+        original = PooledProcessExecutor.map
+
+        def spy(self, work, items):
+            seen.append(self)
+            return original(self, work, items)
+
+        monkeypatch.setattr(PooledProcessExecutor, "map", spy)
+        policy = ExecutionPolicy(
+            max_workers=1, max_retries=0, failure_mode="fallback", tile_timeout=5.0
+        )
+        with Session(policy) as session:
+            session.evaluate(
+                "DPME", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset,
+                executor="process",
+            )
+            assert isinstance(session.executor(), SerialExecutor)
+        assert {executor.max_workers for executor in seen} == {1}
+        assert {executor.retry for executor in seen} == {
+            RetryPolicy(max_retries=0, tile_timeout=5.0, failure_mode="fallback")
+        }
+        assert all(executor.pool is None for executor in seen)
 
 
 class TestOwnedCaches:

@@ -13,7 +13,7 @@ not results, and are excluded from comparison.
 import pytest
 
 from repro.experiments.config import ScalePreset
-from repro.runtime import ProcessExecutor, ThreadExecutor
+from repro.runtime import PooledProcessExecutor, PooledThreadExecutor
 from repro.session import (
     DEFAULT_STREAM_VERSION,
     ExecutionPolicy,
@@ -107,18 +107,19 @@ class TestBitwiseEquivalence:
 
 
 class TestExecutorAndTilingEquivalence:
-    """Session-held pooled executors match per-call executor instances."""
+    """Session-held pools match a pool built and closed for one call."""
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_pooled_executor_matches_legacy(
         self, tiny_dataset, tiny_preset, executor
     ):
-        per_call = {"thread": ThreadExecutor, "process": ProcessExecutor}[executor]
+        per_call = {"thread": PooledThreadExecutor, "process": PooledProcessExecutor}
         policy = ExecutionPolicy(executor=executor, tile_size=1, max_workers=2)
-        one_shot = Session(policy).evaluate(
-            "FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset, seed=4,
-            executor=per_call(max_workers=2),
-        )
+        with per_call[executor](max_workers=2) as one_call_pool:
+            one_shot = Session(policy).evaluate(
+                "FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset, seed=4,
+                executor=one_call_pool,
+            )
         with Session(policy) as session:
             pooled = session.evaluate(
                 "FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset, seed=4
@@ -127,10 +128,11 @@ class TestExecutorAndTilingEquivalence:
 
     def test_percell_generic_through_pool(self, tiny_dataset, tiny_preset):
         policy = ExecutionPolicy(runtime="percell", executor="process", max_workers=2)
-        one_shot = Session(policy).evaluate(
-            "DPME", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset, seed=8,
-            executor=ProcessExecutor(max_workers=2),
-        )
+        with PooledProcessExecutor(max_workers=2) as one_call_pool:
+            one_shot = Session(policy).evaluate(
+                "DPME", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset, seed=8,
+                executor=one_call_pool,
+            )
         with Session(policy) as session:
             pooled = session.evaluate(
                 "DPME", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset, seed=8

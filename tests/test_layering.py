@@ -11,6 +11,10 @@ Likewise the protocol bodies in ``experiments/harness.py`` and
 ``experiments/figures.py`` sit below ``repro.session``, which calls them:
 an import of the session layer from there would reopen a second way into
 the protocol (and an import cycle).
+
+``repro.serve`` releases each fit by a direct call, so it has no use for
+the runtime's executors, fallback chain or retry plumbing: it imports
+nothing from ``repro.runtime``.
 """
 
 import ast
@@ -58,3 +62,7 @@ def test_layer_does_not_import_runtime(layer):
 @pytest.mark.parametrize("module", PROTOCOL_BODIES)
 def test_protocol_bodies_do_not_import_session(module):
     assert _offenders([SRC / module], "repro.session") == []
+
+
+def test_serve_does_not_import_runtime():
+    assert _offenders(sorted((SRC / "serve").rglob("*.py")), "repro.runtime") == []
