@@ -20,5 +20,6 @@ setup(
     # `python -m repro verify --tier 3` works from an installed wheel.
     package_data={"repro.verify": ["golden_digests.json"]},
     python_requires=">=3.10",
-    install_requires=["numpy>=2.0"],
+    # orjson decodes serve request bodies (repro.serve.http).
+    install_requires=["numpy>=2.0", "orjson>=3.8"],
 )

@@ -577,6 +577,9 @@ def _run_serve(args) -> int:
 
     asyncio.run(server.serve(on_started=announce))
     print("repro.serve: drained and shut down cleanly", flush=True)
+    if args.trace:
+        app.session.write_trace(args.trace)
+        print(f"trace written to {args.trace}", flush=True)
     return 0
 
 

@@ -1,6 +1,6 @@
 """Asyncio HTTP/1.1 transport for :class:`repro.serve.app.ServeApp`.
 
-A deliberately small, dependency-free server: the event loop parses
+A deliberately small standard-library server: the event loop parses
 requests and enforces *admission control*; application handlers run on a
 bounded thread pool so a slow fit never stalls the accept loop.
 
@@ -16,6 +16,22 @@ Endpoints
 ``GET  /healthz``           liveness (never queued, never shed)
 ``GET  /readyz``            readiness + admission gauges (503 while draining)
 ==========================  ====================================================
+
+Wire rules
+----------
+Request bodies are UTF-8 JSON objects, decoded with ``orjson`` (it
+yields the same float64 bits as the standard library for every finite
+number).  Its rules are stricter than stdlib ``json``, and a body that
+breaks one is a 400 ``bad_request`` that changes no state:
+
+* JSON numbers must be finite: ``NaN``, ``Infinity``, ``-Infinity`` and
+  literals that overflow a double (``1e400``) are rejected;
+* strings must be valid Unicode: a lone surrogate escape (``"\\ud800"``)
+  or invalid UTF-8 is rejected, and so is a leading byte-order mark;
+* seeds are at most 64-bit: an integer outside ``[-2**63, 2**64)``
+  decodes as a float, so ``seed`` rejects it as not an integer.
+
+Responses are encoded with stdlib ``json.dumps``.
 
 Backpressure
 ------------
@@ -45,6 +61,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import orjson
 
 from .app import ServeApp
 from .protocol import (
@@ -181,7 +199,7 @@ class ServeHTTP:
         if not raw:
             return {}
         try:
-            body = json.loads(raw)
+            body = orjson.loads(raw)
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise BadRequestError("request body is not valid JSON") from None
         if not isinstance(body, dict):
@@ -208,7 +226,8 @@ class ServeHTTP:
     ) -> tuple[int, dict]:
         """Route + execute one request on a handler thread."""
         try:
-            body = self._parse_body(raw)
+            with self.app.session.recorder.span("serve.decode"):
+                body = self._parse_body(raw)
             if method == "POST" and path == "/v1/tenants":
                 return 200, self.app.create_tenant(body)
             if method == "POST" and path == "/v1/ingest":
@@ -255,24 +274,28 @@ class ServeHTTP:
         self._waiting += 1
         self._publish_gauges()
         try:
-            async with self._sem:
-                self._waiting -= 1
-                self._inflight += 1
-                self._publish_gauges()
-                try:
-                    loop = asyncio.get_running_loop()
-                    status, payload = await loop.run_in_executor(
-                        self._handlers,
-                        self._handle_sync,
-                        method, path, headers, raw, received_at,
-                    )
-                finally:
-                    self._inflight -= 1
-                    self._publish_gauges()
-        except Exception:
-            # _waiting was decremented only after acquiring; on a cancelled
-            # wait it is still owed.
+            await self._sem.acquire()
+        except BaseException:
+            # A cancelled wait (``CancelledError`` is a ``BaseException``)
+            # never got a slot; left counted as queued, it would make
+            # admission shed on a phantom queue.
+            self._waiting -= 1
+            self._publish_gauges()
             raise
+        self._waiting -= 1
+        self._inflight += 1
+        self._publish_gauges()
+        try:
+            loop = asyncio.get_running_loop()
+            status, payload = await loop.run_in_executor(
+                self._handlers,
+                self._handle_sync,
+                method, path, headers, raw, received_at,
+            )
+        finally:
+            self._inflight -= 1
+            self._sem.release()
+            self._publish_gauges()
         retry = _RETRY_AFTER if payload.get("error", {}).get("retryable") else None
         return status, payload, retry
 

@@ -1,5 +1,6 @@
 """The HTTP transport: routing, admission control, health, graceful stop."""
 
+import asyncio
 import threading
 import time
 
@@ -100,29 +101,54 @@ class TestRoutes:
             assert body["inflight"] >= 0
 
 
+def _slow_status_server(tmp_path, max_queue):
+    """One inflight slot; ``status`` blocks until ``release`` is set."""
+    app = ServeApp(tmp_path / "data", Session(_policy()))
+    release = threading.Event()
+    entered = threading.Event()
+    original = app.status
+
+    def slow_status(name):
+        entered.set()
+        release.wait(10.0)
+        return original(name)
+
+    app.status = slow_status
+    http = ServeHTTP(app, port=0, max_inflight=1, max_queue=max_queue,
+                     snapshot_interval=0.0)
+    thread = http.start_background()
+    yield http, entered, release
+    release.set()
+    http.request_stop()
+    thread.join(15.0)
+    assert not thread.is_alive()
+
+
+def _status_in_thread(http, results):
+    """Call ``status`` on its own connection; the reply or error lands in
+    ``results``."""
+    def call():
+        with ServeClient("127.0.0.1", http.bound_port, timeout=30) as client:
+            try:
+                results.append(client.status("acme"))
+            except ServeResponseError as err:
+                results.append(err)
+
+    thread = threading.Thread(target=call)
+    thread.start()
+    return thread
+
+
 class TestBackpressure:
     @pytest.fixture
     def tiny_server(self, tmp_path):
         """One inflight slot, zero queue slots: the sheddiest possible box."""
-        app = ServeApp(tmp_path / "data", Session(_policy()))
-        release = threading.Event()
-        entered = threading.Event()
-        original = app.status
+        yield from _slow_status_server(tmp_path, max_queue=0)
 
-        def slow_status(name):
-            entered.set()
-            release.wait(10.0)
-            return original(name)
-
-        app.status = slow_status
-        http = ServeHTTP(app, port=0, max_inflight=1, max_queue=0,
-                         snapshot_interval=0.0)
-        thread = http.start_background()
-        yield http, entered, release
-        release.set()
-        http.request_stop()
-        thread.join(15.0)
-        assert not thread.is_alive()
+    @pytest.fixture
+    def queued_server(self, tmp_path):
+        """One inflight slot and one queue slot."""
+        yield from _slow_status_server(tmp_path, max_queue=1)
 
     def test_overload_sheds_retryably_never_queues(self, tiny_server):
         http, entered, release = tiny_server
@@ -181,6 +207,37 @@ class TestBackpressure:
             )
             assert result["tenant"] == "acme"
             thread.join(10.0)
+
+    def test_cancelled_queued_request_leaves_the_queue(self, queued_server):
+        http, entered, release = queued_server
+        results = []
+        with ServeClient("127.0.0.1", http.bound_port, timeout=30) as client:
+            client.create_tenant("acme", 10.0)
+            blocker = _status_in_thread(http, results)
+            assert entered.wait(10.0), "blocker request never reached the app"
+            queued = asyncio.run_coroutine_threadsafe(
+                http._dispatch("GET", "/v1/tenants/acme", {}, b"", time.monotonic()),
+                http._loop,
+            )
+            deadline = time.monotonic() + 5.0
+            while http._waiting < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert client.readyz()["queue_waiting"] == 1
+            queued.cancel()
+            while http._waiting > 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            ready = client.readyz()
+            assert ready["inflight"] == 1
+            assert ready["queue_waiting"] == 0
+            # with the slot still busy, the next request takes the freed
+            # queue place instead of being shed on a phantom queue
+            follower = _status_in_thread(http, results)
+            while http._waiting < 1 and follower.is_alive():
+                time.sleep(0.01)
+            release.set()
+            blocker.join(10.0)
+            follower.join(10.0)
+        assert [type(r) for r in results] == [dict, dict], results
 
 
 class TestDeadlines:
