@@ -35,7 +35,7 @@ HTTP, with durable per-tenant budget ledgers, bounded admission queues,
 and periodic crash-safe snapshots.  Execution flags (``--executor``,
 ``--failure-mode``, ``--faults``, ...) configure the service's session
 as they configure a figure run, but a fit is a direct call on the
-handler thread: executor, retry and timeout flags change no fit, while
+connection's thread: executor, retry and timeout flags change no fit, while
 ``--faults`` still drives the durable-state fault sites.
 
 Accuracy figures print the paper-style sweep table; timing figures print the
@@ -295,12 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-inflight", type=int, default=8, metavar="N",
-        help="concurrent request executions (default 8)",
+        help="concurrent request executions (default 8); with --max-queue "
+        "it also caps live connections, one thread each, at "
+        "max-inflight + max-queue + a small probe reserve",
     )
     serve.add_argument(
         "--max-queue", type=int, default=32, metavar="N",
-        help="bounded admission queue depth; beyond it requests are shed "
-        "with a retryable 503 (default 32)",
+        help="requests that may wait for an execution slot, each on its "
+        "connection's thread; beyond it requests are shed with a "
+        "retryable 503 (default 32)",
     )
     serve.add_argument(
         "--snapshot-interval", type=float, default=5.0, metavar="SECONDS",
@@ -523,8 +526,6 @@ def _run_engine(args) -> int:
 
 def _run_serve(args) -> int:
     """The ``serve`` subcommand: boot the HTTP service and block."""
-    import asyncio
-
     from ..serve import ServeApp, ServeHTTP
 
     try:
@@ -575,7 +576,7 @@ def _run_serve(args) -> int:
             flush=True,
         )
 
-    asyncio.run(server.serve(on_started=announce))
+    server.serve(on_started=announce)
     print("repro.serve: drained and shut down cleanly", flush=True)
     if args.trace:
         app.session.write_trace(args.trace)

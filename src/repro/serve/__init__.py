@@ -19,7 +19,8 @@ Layering (each importable and testable without the one above):
     The transport-independent service core around one persistent
     :class:`~repro.session.Session`.
 :mod:`~repro.serve.http`
-    Asyncio HTTP/1.1 transport with bounded admission and load shedding.
+    Thread-per-connection HTTP/1.1 transport with bounded admission,
+    load shedding and a connection cap.
 :mod:`~repro.serve.client` / :mod:`~repro.serve.loadgen` / :mod:`~repro.serve.check`
     Stdlib client, deterministic concurrent load generator, and the
     offline ledger/digest verifier used by the chaos acceptance tests.

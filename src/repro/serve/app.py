@@ -164,7 +164,7 @@ class ServeApp:
         self._close_lock = threading.Lock()
         # The ambient recorder/injector slots are module globals shared by
         # every thread — by design, so executor worker threads see them.
-        # Entering/exiting them per request on concurrent handler threads
+        # Entering/exiting them per request on concurrent connection threads
         # would race the save/restore (and could leak the fault injector
         # past the app's life), so the service installs its session's
         # ambience exactly once, for its whole lifetime.

@@ -66,3 +66,10 @@ def test_protocol_bodies_do_not_import_session(module):
 
 def test_serve_does_not_import_runtime():
     assert _offenders(sorted((SRC / "serve").rglob("*.py")), "repro.runtime") == []
+
+
+@pytest.mark.parametrize("module", ["asyncio", "concurrent.futures"])
+def test_serve_transport_runs_on_plain_threads(module):
+    # Each request is served on its connection's own thread, so serve needs
+    # no event loop and no handler pool.
+    assert _offenders(sorted((SRC / "serve").rglob("*.py")), module) == []
