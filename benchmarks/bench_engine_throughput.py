@@ -1,16 +1,16 @@
-"""Engine throughput: accumulation rows/sec and shard speedup.
+"""Engine throughput: accumulation rows/sec and one-pass sweep amortization.
 
 Two questions the engine's design makes measurable:
 
 * does chunked (streaming) accumulation keep up with monolithic one-shot
   accumulation (the canonical-block re-buffering must not dominate), and
-* how much does N-way sharded ingestion buy over one shard.
+* how much does one data pass plus a solve per budget save over one data
+  pass per budget.
 
 Emits the standard pytest-benchmark JSON (``--benchmark-json``) like the
 figure benches, attaches ``rows_per_sec`` via ``extra_info``, and persists a
 text table under ``benchmarks/results/``.  Correctness is not re-asserted
-here beyond a bit-identity check — the engine test suite owns that — but
-every variant must produce the same statistics it would produce serially.
+here — the engine test suite owns that.
 """
 
 import time
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from conftest import save_and_print
 
-from repro.engine import MomentAccumulator, ShardedAccumulator
+from repro.engine import MomentAccumulator
 
 N_ROWS = 400_000
 DIM = 14
@@ -27,14 +27,10 @@ CHUNK = 8_192
 
 
 def _synthetic(n: int = N_ROWS, d: int = DIM, seed: int = 0):
-    """Normalized rows assembled from deterministic per-shard substreams."""
-    sharded = ShardedAccumulator(d, shards=4)
-    parts_X, parts_y = [], []
-    for gen in sharded.shard_substreams(seed):
-        X = gen.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=(n // 4, d))
-        parts_X.append(X)
-        parts_y.append(np.clip(X @ gen.uniform(-1, 1, d), -1.0, 1.0))
-    return np.concatenate(parts_X), np.concatenate(parts_y)
+    """Normalized rows with targets clipped to [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=(n, d))
+    return X, np.clip(X @ rng.uniform(-1, 1, d), -1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -65,30 +61,6 @@ def test_accumulation_throughput(benchmark, results_dir, data, mode):
         f"engine_throughput_{mode}",
         f"{mode} accumulation: {rows_per_sec:,.0f} rows/sec "
         f"({X.shape[0]:,} rows, d={DIM}, median of 3)",
-    )
-
-
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_shard_speedup(benchmark, results_dir, data, shards):
-    X, y = data
-    reference = MomentAccumulator(DIM, validate=False).update(X, y).snapshot()
-
-    def run():
-        return ShardedAccumulator(DIM, shards=shards, validate=False).accumulate(X, y)
-
-    acc = benchmark.pedantic(run, rounds=3, iterations=1)
-    # Parallelism degree must never change the statistics (bit-identity).
-    snap = acc.snapshot()
-    assert np.array_equal(snap.S2, reference.S2)
-    assert np.array_equal(snap.Sxy, reference.Sxy)
-    seconds = benchmark.stats.stats.median
-    benchmark.extra_info["rows_per_sec"] = X.shape[0] / seconds
-    benchmark.extra_info["shards"] = shards
-    save_and_print(
-        results_dir,
-        f"engine_shards_{shards}",
-        f"shards={shards}: {X.shape[0] / seconds:,.0f} rows/sec "
-        f"({seconds * 1e3:.1f} ms for {X.shape[0]:,} rows)",
     )
 
 

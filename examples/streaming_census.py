@@ -5,8 +5,8 @@ additive moment statistics:
 
 1. stream the census dataset through a ``MomentAccumulator`` chunk by chunk
    (as if rows arrived from a scan or a message queue),
-2. verify that a 4-way *sharded* accumulation yields bit-identical
-   statistics (parallelism never changes results),
+2. verify that a one-shot accumulation of the same rows yields
+   bit-identical statistics (chunk boundaries never change results),
 3. refit the mechanism at the whole Table-2 budget range with a single
    ``EpsilonSweepEngine`` call — one data pass total,
 4. attach repeated-draw error bars from the same finalized statistics.
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.objectives import LinearRegressionObjective
 from repro.data import load_us
-from repro.engine import EpsilonSweepEngine, MomentAccumulator, ShardedAccumulator
+from repro.engine import EpsilonSweepEngine, MomentAccumulator
 from repro.regression.metrics import mean_squared_error
 
 CHUNK_ROWS = 5_000
@@ -42,11 +42,11 @@ def main() -> None:
     print(f"streamed {accumulator.n_rows} rows in {CHUNK_ROWS}-row chunks")
 
     # ------------------------------------------------------------------
-    # 2. Sharded ingestion is bit-identical — merge order cannot matter.
+    # 2. Chunking is bit-identical — canonical blocks fix every matmul.
     # ------------------------------------------------------------------
-    sharded = ShardedAccumulator(task.dim, shards=4).accumulate(task.X, task.y)
-    identical = np.array_equal(sharded.snapshot().S2, accumulator.snapshot().S2)
-    print(f"4-way sharded statistics bit-identical to streamed: {identical}")
+    one_shot = MomentAccumulator(task.dim).update(task.X, task.y)
+    identical = np.array_equal(one_shot.snapshot().S2, accumulator.snapshot().S2)
+    print(f"one-shot statistics bit-identical to streamed: {identical}")
 
     # ------------------------------------------------------------------
     # 3. Every Table-2 budget from the same finalized statistics.

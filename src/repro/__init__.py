@@ -32,10 +32,9 @@ Package map
 ``repro.data``
     Synthetic IPUMS-like census data (US/Brazil substitution).
 ``repro.engine``
-    Streaming, shardable sufficient-statistics engine: chunked/merged
-    moment accumulation, N-way parallel ingestion, one-pass multi-epsilon
-    sweeps, and a content-addressed accumulator cache
-    (``python -m repro engine`` is the CLI entry point).
+    Streaming sufficient-statistics engine: chunked/merged moment
+    accumulation, one-pass multi-epsilon sweeps, and a content-addressed
+    accumulator cache (``python -m repro engine`` is the CLI entry point).
 ``repro.runtime``
     Batched cell-solver runtime for the repeated-CV protocol: up-front
     (rep, fold, epsilon) cell planning, stacked LAPACK kernels and a
@@ -70,7 +69,6 @@ from .engine import (
     EpsilonSweepEngine,
     MomentAccumulator,
     MomentSnapshot,
-    ShardedAccumulator,
 )
 from .exceptions import (
     BudgetExhaustedError,
@@ -110,7 +108,6 @@ __all__ = [
     "EpsilonSweepEngine",
     "MomentAccumulator",
     "MomentSnapshot",
-    "ShardedAccumulator",
     "CellPlan",
     "plan_cells",
     "run_plan",

@@ -1,4 +1,4 @@
-"""repro.engine — streaming, shardable sufficient-statistics engine.
+"""repro.engine — streaming sufficient-statistics engine.
 
 The degree-2 objectives of the paper reduce Algorithm 1's expensive step —
 aggregating the database-level polynomial coefficients — to additive moment
@@ -7,10 +7,6 @@ statistics.  This package exploits that structure end to end:
 :mod:`repro.engine.accumulator`
     :class:`MomentAccumulator`: chunked/streaming accumulation with exactly
     associative-commutative ``merge`` and bit-deterministic results.
-:mod:`repro.engine.sharding`
-    :class:`ShardedAccumulator`: N-way thread-parallel ingestion with
-    block-aligned partitions and a tree merge; shard count never changes
-    the statistics.
 :mod:`repro.engine.sweep`
     :class:`EpsilonSweepEngine`: fitted FM models for a whole epsilon vector
     from one data pass, with vectorized Laplace draws and repeated-draw
@@ -22,7 +18,6 @@ statistics.  This package exploits that structure end to end:
 
 from .accumulator import DEFAULT_BLOCK_SIZE, MomentAccumulator, MomentSnapshot
 from .cache import AccumulatorCache, dataset_fingerprint, objective_tag
-from .sharding import ShardedAccumulator, shard_slices, tree_merge
 from .sweep import (
     EpsilonSweepEngine,
     EpsilonSweepResult,
@@ -37,9 +32,6 @@ __all__ = [
     "AccumulatorCache",
     "dataset_fingerprint",
     "objective_tag",
-    "ShardedAccumulator",
-    "shard_slices",
-    "tree_merge",
     "EpsilonSweepEngine",
     "EpsilonSweepResult",
     "SweepPoint",

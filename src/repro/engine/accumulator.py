@@ -18,7 +18,7 @@ coefficients ``a0, a1, a2``)::
 
 Because these moments are additive over rows, the expensive data pass is
 *streamable* (consume chunks as they arrive), *mergeable* (combine partial
-accumulators from shards), and *reusable* (one finalized accumulator serves
+accumulators from parties), and *reusable* (one finalized accumulator serves
 every epsilon of a budget sweep).  :class:`MomentAccumulator` maintains them
 incrementally; :meth:`MomentAccumulator.quadratic_form` projects them onto an
 objective's coefficient blocks on demand.
@@ -36,9 +36,10 @@ same global order.  Two ingredients make that possible:
 2. *Correctly-rounded reduction.*  Final statistics are reduced over the
    block partials with :func:`math.fsum`, whose result depends only on the
    *multiset* of addends — not on their order or grouping.  Hence ``merge``
-   is exactly associative and commutative, and an N-way sharded accumulation
-   (with block-aligned shard boundaries, see :mod:`repro.engine.sharding`)
-   reproduces the monolithic result to the bit.
+   is exactly associative and commutative, and an N-way split accumulation
+   (with block-aligned boundaries, see
+   :func:`repro.federated.party.shard_slices`) reproduces the monolithic
+   result to the bit.
 
 Sealing: ``merge``, ``save`` and ``snapshot`` treat a pending partial block
 (fewer than ``block_size`` buffered rows) as a block of its own, because the

@@ -9,7 +9,7 @@ Usage (installed package)::
     python -m repro figure6 --runtime percell --executor thread
     python -m repro convergence --task linear
     python -m repro table2
-    python -m repro engine --task linear --epsilons 0.1,1,10 --shards 4
+    python -m repro engine --task linear --epsilons 0.1,1,10
     python -m repro figure5 --trace figure5.jsonl
     python -m repro trace summarize figure5.jsonl
     python -m repro verify --tier 1
@@ -41,9 +41,9 @@ connection's thread: executor, retry and timeout flags change no fit, while
 Accuracy figures print the paper-style sweep table; timing figures print the
 per-algorithm fit times; ``figure2``/``figure3`` print the worked examples.
 ``engine`` streams the dataset through the :mod:`repro.engine` sufficient-
-statistics accumulator (optionally sharded and cached via ``--cache-dir``)
-and refits the Functional Mechanism at every requested budget from that one
-pass.  The ``--scale`` presets trade fidelity for time (see
+statistics accumulator (optionally cached via ``--cache-dir``) and refits
+the Functional Mechanism at every requested budget from that one pass.
+The ``--scale`` presets trade fidelity for time (see
 :mod:`repro.experiments.config`).
 
 Execution configuration flows through one resolver
@@ -92,7 +92,7 @@ import numpy as np
 
 from ..analysis.convergence import convergence_study
 from ..data import load_brazil, load_us
-from ..engine import AccumulatorCache, EpsilonSweepEngine, ShardedAccumulator
+from ..engine import AccumulatorCache, EpsilonSweepEngine, MomentAccumulator
 from ..exceptions import ExperimentError, FederatedError, ReproError
 from ..obs import load_trace, make_recorder, summarize_trace, use_recorder
 from ..privacy.rng import derive_substream
@@ -246,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilons", default="0.1,0.2,0.4,0.8,1.6,3.2",
         help="comma-separated privacy budgets (default: the Table-2 range)",
     )
-    eng.add_argument("--shards", type=int, default=1, help="parallel ingestion shards")
     eng.add_argument("--country", choices=("us", "brazil"), default="us")
     eng.add_argument("--dims", type=int, default=DEFAULT_DIMENSIONALITY)
     eng.add_argument("--scale", choices=sorted(_PRESETS), default="smoke")
@@ -459,18 +458,13 @@ def _run_engine(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
     preset = _PRESETS[args.scale]
     dataset = _load(args.country, preset)
     prepared = dataset.regression_task(args.task, dims=args.dims)
     objective = objective_for(args.task, prepared.dim)
 
     def build():
-        return ShardedAccumulator(prepared.dim, shards=args.shards).accumulate(
-            prepared.X, prepared.y
-        )
+        return MomentAccumulator(prepared.dim).update(prepared.X, prepared.y)
 
     # The recorder measures the statistics pass whether or not telemetry is
     # on — a NullRecorder span still carries the clock, which is exactly
@@ -478,9 +472,7 @@ def _run_engine(args) -> int:
     recorder = make_recorder(_resolve_telemetry(args) or "off")
     with use_recorder(recorder):
         cache_hit = False
-        with recorder.span(
-            "engine.ingest", shards=args.shards, cached=bool(args.cache_dir)
-        ) as ingest:
+        with recorder.span("engine.ingest", cached=bool(args.cache_dir)) as ingest:
             if args.cache_dir:
                 cache = AccumulatorCache(args.cache_dir)
                 key = AccumulatorCache.make_key(prepared.X, prepared.y, objective)
@@ -509,7 +501,7 @@ def _run_engine(args) -> int:
             stds = [float(np.mean(variance.std[i])) for i in range(len(epsilons))]
     header = [
         f"rows={accumulator.n_rows} dim={prepared.dim} "
-        f"blocks={accumulator.num_blocks} shards={args.shards}",
+        f"blocks={accumulator.num_blocks}",
         f"statistics pass: {pass_seconds:.3f}s"
         + (" (cache hit — no data pass)" if cache_hit else ""),
         f"sensitivity Delta={engine.sensitivity:g}; "

@@ -248,34 +248,24 @@ def _budget_sweep(
     figure: str,
     preset: ScalePreset,
     seed: int,
-    engine: bool,
     *,
     stream_version: int,
     runtime: str = "batched",
     executor="serial",
     tile_size: int | None = None,
     prepared_cache=None,
-    shards: int = 1,
 ) -> SweepResult:
     """Shared machinery for the budget-sweep figures (6 and 9).
 
-    With ``engine=True`` the FM series routes through the one-pass
-    budget sweep: one aggregation per (repetition, fold) refit at every
-    budget, so FM's share of the sweep costs one data pass instead of one
-    per epsilon — and under the default batched runtime all of those
-    refits are one stacked solve, run in the caller.  The other
-    algorithms keep one group per budget point (their fits genuinely
-    depend on epsilon-specific passes), all points dispatched as one
-    executor map by :func:`_accuracy_sweep`.
+    The FM series runs as the one-pass budget sweep: one aggregation per
+    (repetition, fold) refit at every budget, so FM's share of the sweep
+    costs one data pass instead of one per epsilon — and under the
+    default batched runtime all of those refits are one stacked solve,
+    run in the caller.  The other algorithms keep one group per budget
+    point (their fits genuinely depend on epsilon-specific passes), all
+    points dispatched as one executor map by :func:`_accuracy_sweep`.
     """
     algorithms = _algorithms_for(task)
-    if not engine:
-        return _accuracy_sweep(
-            dataset, task, "epsilon", PRIVACY_BUDGETS, figure=figure,
-            preset=preset, seed=seed, runtime=runtime, executor=executor,
-            tile_size=tile_size, stream_version=stream_version,
-            prepared_cache=prepared_cache,
-        )
     others = _accuracy_sweep(
         dataset, task, "epsilon", PRIVACY_BUDGETS, figure=figure,
         preset=preset, seed=seed, runtime=runtime, executor=executor,
@@ -285,9 +275,8 @@ def _budget_sweep(
     )
     fm = _evaluate_fm_budget_sweep(
         dataset, task, dims=DEFAULT_DIMENSIONALITY, epsilons=PRIVACY_BUDGETS,
-        preset=preset, seed=seed, shards=shards,
-        runtime="auto" if runtime == "batched" else runtime,
-        executor=executor, tile_size=tile_size, stream_version=stream_version,
+        preset=preset, seed=seed, runtime=runtime, executor=executor,
+        tile_size=tile_size, stream_version=stream_version,
         prepared_cache=prepared_cache,
     )
     series: dict[str, tuple[EvaluationResult, ...]] = {}

@@ -31,9 +31,9 @@ Budget sweeps have a dedicated fast path,
 :func:`_evaluate_fm_budget_sweep`: because FM's database-level coefficients
 do not depend on epsilon, each (repetition, fold) training split is
 aggregated **once** and refit at every budget — O(1 data pass + n_eps
-solves) instead of O(n_eps) passes.  The default routes through the batched
-runtime; ``runtime="engine"`` keeps the streaming :mod:`repro.engine` path
-(and is implied by ``shards > 1``).
+solves) instead of O(n_eps) passes.  It runs on the same two runtimes as
+every other protocol call: ``"batched"`` refits every budget in one stacked
+solve, ``"percell"`` is the cell-by-cell oracle.
 
 The protocol bodies are private: :class:`repro.session.Session` and
 :func:`repro.session.registry.run_figure` call them with every execution
@@ -55,23 +55,17 @@ from ..core.objectives import (
     LogisticRegressionObjective,
 )
 from ..data.datasets import CensusDataset
-from ..engine import EpsilonSweepEngine, ShardedAccumulator
 from ..exceptions import ExperimentError
-from ..obs import active_recorder
-from ..privacy.rng import derive_substream
 from ..regression.metrics import mean_squared_error, misclassification_rate
-from ..regression.preprocessing import KFold
 from ..runtime import (
     CellExecutor,
     PlanResult,
     PreparedDataCache,
-    algorithm_stream_key,
     plan_cells,
     plan_cells_tiled,
     TiledPlan,
     run_plan,
     run_plan_group,
-    single_blas_thread,
 )
 from .config import DEFAULT, ScalePreset
 
@@ -247,12 +241,11 @@ def _evaluate_fm_budget_sweep(
     preset: ScalePreset = DEFAULT,
     sampling_rate: float = 1.0,
     seed: int = 0,
-    shards: int = 1,
     post_processing: str = "spectral",
     tight_sensitivity: bool = False,
     *,
     stream_version: int,
-    runtime: str = "auto",
+    runtime: str = "batched",
     executor: str | CellExecutor = "serial",
     tile_size: int | None = None,
     prepared_cache: PreparedDataCache | None = None,
@@ -271,44 +264,14 @@ def _evaluate_fm_budget_sweep(
 
     Parameters mirror :func:`_evaluate_algorithm`; additionally:
 
-    shards:
-        Parallel ingestion shards for the streaming-engine path (implies
-        ``runtime="engine"`` when greater than one).
     post_processing / tight_sensitivity:
         Mechanism configuration, as the FM estimator kwargs would be.
-    runtime:
-        ``"auto"`` picks the batched runtime, falling back to the
-        streaming engine when ``shards > 1`` or a non-spectral repair is
-        requested; ``"batched"`` / ``"percell"`` force the runtime paths;
-        ``"engine"`` forces the streaming-accumulator path (which already
-        streams one repetition at a time and ignores ``tile_size``).
+        A non-spectral repair runs through the generic per-fold kernel
+        under either runtime.
     """
     epsilon_values = [float(e) for e in epsilons]
     if not epsilon_values:
         raise ExperimentError("epsilons must be non-empty")
-    if runtime == "auto":
-        runtime = (
-            "engine" if shards != 1 or post_processing != "spectral" else "batched"
-        )
-    elif shards != 1 and runtime != "engine":
-        raise ExperimentError(
-            f"shards={shards} only applies to the streaming-engine path; "
-            f"use runtime='engine' (or 'auto') instead of {runtime!r}"
-        )
-    if runtime == "engine":
-        return _fm_budget_sweep_engine(
-            dataset,
-            task,
-            dims,
-            epsilon_values,
-            preset=preset,
-            sampling_rate=sampling_rate,
-            seed=seed,
-            shards=shards,
-            post_processing=post_processing,
-            tight_sensitivity=tight_sensitivity,
-            stream_version=stream_version,
-        )
     fm_kwargs = {
         "post_processing": post_processing,
         "tight_sensitivity": tight_sensitivity,
@@ -345,95 +308,6 @@ def _evaluate_fm_budget_sweep(
     outcome = run_plan(plan, mode=runtime, executor=executor)
     return {
         e: _result_for_epsilon(outcome, "FM", task, e) for e in epsilon_values
-    }
-
-
-@single_blas_thread()
-def _fm_budget_sweep_engine(
-    dataset: CensusDataset,
-    task: Task,
-    dims: int,
-    epsilon_values: list[float],
-    *,
-    preset: ScalePreset,
-    sampling_rate: float,
-    seed: int,
-    shards: int,
-    post_processing: str,
-    tight_sensitivity: bool,
-    stream_version: int,
-) -> dict[float, EvaluationResult]:
-    """The streaming-engine sweep: accumulate once per fold, refit per epsilon.
-
-    Each training split feeds a sharded
-    :class:`~repro.engine.MomentAccumulator` exactly once and an
-    :class:`~repro.engine.EpsilonSweepEngine` refits every epsilon from the
-    finalized statistics.  The per-epsilon ``mean_fit_seconds`` records that
-    epsilon's marginal solve time plus an equal share of the (single)
-    accumulation pass.
-    """
-    if not 0.0 < sampling_rate <= 1.0:
-        raise ExperimentError(f"sampling_rate must be in (0, 1], got {sampling_rate!r}")
-    scores: dict[float, list[float]] = {e: [] for e in epsilon_values}
-    fit_times: dict[float, list[float]] = {e: [] for e in epsilon_values}
-    n_train = 0
-    algorithm_key = algorithm_stream_key("FM")
-    base_n = preset.cardinality(dataset.n)
-    for rep in range(preset.repetitions):
-        rep_rng = derive_substream(
-            seed, [algorithm_key, rep], stream_version=stream_version
-        )
-        working = dataset
-        if base_n < dataset.n:
-            working = working.take(rep_rng.choice(dataset.n, size=base_n, replace=False))
-        if sampling_rate < 1.0:
-            working = working.sample(sampling_rate, rng=rep_rng)
-        prepared = working.regression_task(task, dims=dims)
-        objective = objective_for(task, prepared.dim)
-        folds = KFold(n_splits=preset.folds, rng=rep_rng)
-        for fold_id, (train_idx, test_idx) in enumerate(folds.split(prepared.n)):
-            X_train, y_train = prepared.X[train_idx], prepared.y[train_idx]
-            with active_recorder().span(
-                "engine.accumulate", shards=shards, rows=int(train_idx.shape[0])
-            ) as span:
-                accumulator = ShardedAccumulator(prepared.dim, shards=shards).accumulate(
-                    X_train, y_train
-                )
-            pass_seconds = span.seconds
-            engine = EpsilonSweepEngine(
-                objective,
-                accumulator,
-                tight_sensitivity=tight_sensitivity,
-                post_processing=post_processing,
-            )
-            sweep = engine.sweep(
-                epsilon_values,
-                rng=derive_substream(
-                    seed,
-                    [algorithm_key, rep, fold_id],
-                    stream_version=stream_version,
-                ),
-            )
-            X_test, y_test = prepared.X[test_idx], prepared.y[test_idx]
-            for point in sweep.points:
-                scores[point.epsilon].append(
-                    score_from_scores(task, y_test, X_test @ point.omega)
-                )
-                fit_times[point.epsilon].append(
-                    pass_seconds / len(epsilon_values) + point.solve_seconds
-                )
-            n_train = train_idx.shape[0]
-    return {
-        e: EvaluationResult(
-            algorithm="FM",
-            task=task,
-            mean_score=float(np.mean(scores[e])),
-            std_score=float(np.std(scores[e])),
-            mean_fit_seconds=float(np.mean(fit_times[e])),
-            cells=len(scores[e]),
-            n_train=n_train,
-        )
-        for e in epsilon_values
     }
 
 

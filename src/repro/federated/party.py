@@ -34,8 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..engine.accumulator import DEFAULT_BLOCK_SIZE, MomentAccumulator
-from ..engine.sharding import shard_slices
-from ..exceptions import FederatedError
+from ..exceptions import DataError, FederatedError
 from ..experiments.harness import objective_for
 from ..obs import active_recorder
 from ..privacy.budget import PrivacyBudget
@@ -95,6 +94,31 @@ class FederationSpec:
         )
 
 
+def shard_slices(n_rows: int, shards: int, block_size: int = DEFAULT_BLOCK_SIZE) -> list[slice]:
+    """Contiguous, block-aligned row slices covering ``range(n_rows)``.
+
+    Boundaries fall on multiples of ``block_size`` so each slice's canonical
+    block decomposition coincides with the monolithic one (the key to
+    bit-identical merged statistics).  Blocks are spread as evenly as
+    possible; with more slices than blocks, trailing slices are empty.
+
+    >>> shard_slices(10, 2, block_size=4)
+    [slice(0, 4, None), slice(4, 10, None)]
+    """
+    n_rows = int(n_rows)
+    shards = int(shards)
+    if n_rows < 0:
+        raise DataError(f"n_rows must be >= 0, got {n_rows}")
+    if shards < 1:
+        raise DataError(f"shards must be >= 1, got {shards}")
+    n_blocks = math.ceil(n_rows / block_size) if n_rows else 0
+    bounds = [i * n_blocks // shards for i in range(shards + 1)]
+    return [
+        slice(min(bounds[i] * block_size, n_rows), min(bounds[i + 1] * block_size, n_rows))
+        for i in range(shards)
+    ]
+
+
 def split_rows(
     X: np.ndarray, y: np.ndarray, parties: int, block_size: int = DEFAULT_BLOCK_SIZE
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -103,7 +127,7 @@ def split_rows(
     Both properties carry the bit-identity contract: contiguity makes
     concatenating the slices in party order reproduce the original row
     order, and block alignment (boundaries on multiples of
-    ``block_size``, via :func:`~repro.engine.sharding.shard_slices`)
+    ``block_size``, via :func:`shard_slices`)
     makes each party's canonical block decomposition coincide with the
     single-box one — so the tree-merged statistics equal single-box
     ingestion *bitwise*, not just numerically.  With fewer blocks than

@@ -2,7 +2,7 @@
 
 Four PRs of engine/runtime/verify growth threaded the same execution kwargs
 (``runtime=``, ``executor=``, ``tile_size=``, ``stream_version=``,
-``shards=``, ``preset=``, ``seed=`` ...) by hand through every harness
+``preset=``, ``seed=`` ...) by hand through every harness
 entry point, every figure driver, the CLI and the golden-oracle registry.
 This module replaces the blob with a single dataclass:
 
@@ -23,7 +23,7 @@ This module replaces the blob with a single dataclass:
 
 Environment variables (all optional)::
 
-    REPRO_RUNTIME         batched | percell | engine | auto
+    REPRO_RUNTIME         batched | percell
     REPRO_EXECUTOR        serial | thread | process
     REPRO_MAX_WORKERS     positive int, or "none" (executor default)
     REPRO_TILE_SIZE       positive int, or "none" (eager planning)
@@ -31,7 +31,6 @@ Environment variables (all optional)::
     REPRO_SCALE           smoke | default | full
     REPRO_SAMPLING_RATE   float in (0, 1]
     REPRO_SEED            int
-    REPRO_SHARDS          positive int
     REPRO_TELEMETRY       off | summary | trace
     REPRO_FAULTS          fault-plan spec, e.g. "seed=7;worker.crash=0.5x2"
     REPRO_MAX_RETRIES     non-negative int (self-healing retry bound)
@@ -88,7 +87,6 @@ POLICY_ENV_VARS: dict[str, str] = {
     "scale": "REPRO_SCALE",
     "sampling_rate": "REPRO_SAMPLING_RATE",
     "seed": "REPRO_SEED",
-    "shards": "REPRO_SHARDS",
     "telemetry": "REPRO_TELEMETRY",
     "faults": "REPRO_FAULTS",
     "max_retries": "REPRO_MAX_RETRIES",
@@ -96,7 +94,7 @@ POLICY_ENV_VARS: dict[str, str] = {
     "failure_mode": "REPRO_FAILURE_MODE",
 }
 
-_RUNTIMES = ("batched", "percell", "engine", "auto")
+_RUNTIMES = ("batched", "percell")
 _TELEMETRY = ("off", "summary", "trace")
 
 
@@ -126,7 +124,7 @@ def _parse_env(field: str, raw: str):
             ) from None
     if field == "faults":
         return raw.strip() or None
-    if field in ("stream_version", "seed", "shards", "max_retries"):
+    if field in ("stream_version", "seed", "max_retries"):
         try:
             return int(raw)
         except ValueError:
@@ -150,11 +148,9 @@ class ExecutionPolicy:
     Attributes
     ----------
     runtime:
-        Cell execution mode: ``"batched"`` (stacked LAPACK kernels) or
-        ``"percell"`` (the reference oracle) for point evaluations;
-        budget sweeps additionally understand ``"engine"`` (the streaming
-        sufficient-statistics path) and ``"auto"`` (batched unless shards
-        or a non-spectral repair force the engine).
+        Cell execution mode of every protocol call, budget sweeps
+        included: ``"batched"`` (stacked LAPACK kernels) or
+        ``"percell"`` (the reference oracle).
     executor:
         Where parallel work runs: ``"serial"``, ``"thread"`` or
         ``"process"``.  A long-lived :class:`~repro.session.Session`
@@ -174,9 +170,6 @@ class ExecutionPolicy:
         Table-2 sampling rate applied to the preset-capped cardinality.
     seed:
         Base seed every cell substream derives from.
-    shards:
-        Parallel ingestion shards of the streaming-engine path (budget
-        sweeps only; ``shards > 1`` implies ``runtime="engine"``).
     telemetry:
         Observability level (see :mod:`repro.obs`): ``"off"`` installs
         the no-op recorder (hot paths pay one null-check), ``"summary"``
@@ -212,7 +205,6 @@ class ExecutionPolicy:
     scale: str = "default"
     sampling_rate: float = 1.0
     seed: int = 0
-    shards: int = 1
     telemetry: str = "off"
     faults: str | None = None
     max_retries: int = 2
@@ -250,10 +242,6 @@ class ExecutionPolicy:
             )
         if not isinstance(self.seed, int):
             raise ExperimentError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.shards, int) or self.shards < 1:
-            raise ExperimentError(
-                f"shards must be a positive integer, got {self.shards!r}"
-            )
         if self.telemetry not in _TELEMETRY:
             raise ExperimentError(
                 f"telemetry must be one of {_TELEMETRY}, got {self.telemetry!r}"

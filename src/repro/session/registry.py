@@ -44,8 +44,8 @@ class FigureSpec:
         for the timing figures ("we only report the results for logistic
         regression").
     budget_sweep:
-        Whether the figure sweeps epsilon and therefore has the one-pass
-        FM engine/batched fast path (figures 6 and 9).
+        Whether the figure sweeps epsilon and therefore runs its FM series
+        as the one-pass budget sweep (figures 6 and 9).
     kind:
         ``"accuracy"`` or ``"time"`` — which metric the figure plots
         (reporting concern only; both come from the same sweep).
@@ -94,18 +94,13 @@ def run_figure(
     tile_size: int | None,
     stream_version: int,
     values: Sequence | None = None,
-    engine: bool | None = None,
     prepared_cache=None,
-    shards: int = 1,
 ) -> SweepResult:
     """Execute one registered figure through the shared sweep machinery.
 
     ``task`` is required unless the spec pins it; ``values`` overrides the
     spec's sweep values (cardinality figures only — the budget figures'
-    epsilon grid is part of their identity); ``engine`` selects the
-    one-pass FM fast path on budget figures (default on); ``shards``
-    parallelizes the FM series' statistics pass on budget figures
-    (ignored elsewhere — the caller warns).
+    epsilon grid is part of their identity).
     """
     spec = figure_spec(name)
     if spec.fixed_task is not None:
@@ -124,16 +119,12 @@ def run_figure(
             spec.name,
             preset,
             seed,
-            engine=True if engine is None else engine,
             runtime=runtime,
             executor=executor,
             tile_size=tile_size,
             stream_version=stream_version,
             prepared_cache=prepared_cache,
-            shards=shards,
         )
-    if engine is not None:
-        raise ExperimentError(f"{name} has no FM budget-sweep path; drop engine=")
     return _accuracy_sweep(
         dataset,
         task,

@@ -1,10 +1,10 @@
-"""Integration tests: the experiment stack routed through repro.engine."""
+"""Integration tests: FM's one-pass budget sweep and the budget figures."""
 
 import numpy as np
 import pytest
 
 from repro.data.census import load_us
-from repro.experiments.config import PRIVACY_BUDGETS, SMOKE
+from repro.experiments.config import DEFAULT_DIMENSIONALITY, PRIVACY_BUDGETS, SMOKE
 from repro.exceptions import ExperimentError
 from repro.session import ExecutionPolicy, Session
 
@@ -41,7 +41,7 @@ class TestEvaluateFmBudgetSweep:
         assert results[3.2].mean_score < results[0.1].mean_score
 
     def test_statistically_consistent_with_loop_path(self, us):
-        """Engine and loop are the same mechanism — scores must be comparable."""
+        """Sweep and point evaluation are the same mechanism — scores must be comparable."""
         epsilon = 3.2
         engine_result = _budget_sweep(us, 5, (epsilon,), seed=0)[epsilon]
         loop_result = Session(ExecutionPolicy()).evaluate(
@@ -60,12 +60,6 @@ class TestEvaluateFmBudgetSweep:
         for result in results.values():
             assert 0.0 <= result.mean_score <= 1.0
 
-    def test_sharded_accumulation_path(self, us):
-        results = _budget_sweep(
-            us, 5, (0.8,), ExecutionPolicy(runtime="auto", shards=4), seed=0
-        )
-        assert results[0.8].cells == SMOKE.folds * SMOKE.repetitions
-
     def test_invalid_args(self, us):
         with pytest.raises(ExperimentError):
             _budget_sweep(us, 5, ())
@@ -80,12 +74,18 @@ def _figure(name, us, *args, **kwargs):
 
 
 class TestFigureDriversUseEngine:
-    def test_figure6_engine_and_loop_paths_agree_structurally(self, us):
-        fast = _figure("figure6", us, "linear", seed=6, engine=True)
-        slow = _figure("figure6", us, "linear", seed=6, engine=False)
-        assert fast.values == slow.values
-        assert list(fast.series) == list(slow.series)  # legend order preserved
-        assert all(len(v) == len(fast.values) for v in fast.series.values())
+    def test_figure6_fm_series_is_the_budget_sweep(self, us):
+        result = _figure("figure6", us, "linear", seed=6)
+        sweep = _budget_sweep(us, DEFAULT_DIMENSIONALITY, PRIVACY_BUDGETS, seed=6)
+        assert result.metric_series("FM") == [
+            sweep[epsilon].mean_score for epsilon in result.values
+        ]
+
+    def test_figure6_series_structure(self, us):
+        result = _figure("figure6", us, "linear", seed=6)
+        assert result.values == PRIVACY_BUDGETS
+        assert list(result.series) == ["FM", "DPME", "FP", "NoPrivacy"]  # legend order
+        assert all(len(v) == len(result.values) for v in result.series.values())
 
     def test_figure6_fm_series_from_engine_is_sane(self, us):
         result = _figure("figure6", us, "linear", seed=6)
@@ -95,13 +95,3 @@ class TestFigureDriversUseEngine:
     def test_figure9_times_positive(self, us):
         result = _figure("figure9", us, seed=9)
         assert all(t > 0 for t in result.time_series("FM"))
-
-    def test_engine_budget_sweep_is_faster_per_epsilon(self, us):
-        """The engine's per-epsilon cost excludes repeated data passes."""
-        engine_fig = _figure("figure6", us, "linear", seed=6, engine=True)
-        loop_fig = _figure("figure6", us, "linear", seed=6, engine=False)
-        engine_time = sum(engine_fig.time_series("FM"))
-        loop_time = sum(loop_fig.time_series("FM"))
-        # Generous bound: the engine must not be slower in aggregate (it
-        # shares one pass across six budgets); timing noise gets headroom.
-        assert engine_time < loop_time * 1.5

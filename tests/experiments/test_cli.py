@@ -82,13 +82,12 @@ class TestEngineCommand:
     def test_defaults(self):
         args = build_parser().parse_args(["engine"])
         assert args.task == "linear"
-        assert args.shards == 1
         assert args.epsilons == "0.1,0.2,0.4,0.8,1.6,3.2"
         assert args.cache_dir is None
 
     def test_linear_sweep_smoke(self, capsys):
         assert main(["engine", "--task", "linear", "--epsilons", "0.1,1,10",
-                     "--shards", "4", "--scale", "smoke"]) == 0
+                     "--scale", "smoke"]) == 0
         out = capsys.readouterr().out
         assert "one pass, 3 budgets" in out
         assert "mean square error" in out
@@ -120,8 +119,11 @@ class TestEngineCommand:
         assert main(["engine", "--epsilons", "0.5,-1"]) == 2
         assert "positive budget" in capsys.readouterr().err
 
-    def test_invalid_shards_exit_code(self, capsys):
-        assert main(["engine", "--shards", "0"]) == 2
+    def test_shards_flag_is_gone(self, capsys):
+        # Ingestion is one accumulator pass; a stale --shards fails loudly.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["engine", "--shards", "4"])
+        assert exit_info.value.code == 2
         assert "--shards" in capsys.readouterr().err
 
 

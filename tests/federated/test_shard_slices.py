@@ -1,11 +1,52 @@
-"""Tests for sharded accumulation: partitioning, invariance, RNG streams."""
+"""Block-aligned row partitioning for federation parties.
+
+A party ingests the rows of one :func:`shard_slices` slice; the
+coordinator merges the parties' accumulators with :func:`tree_merge`.
+Block-aligned slices keep the merged moments bit-identical to one
+accumulator over every row, so the released model does not depend on
+the party count.
+"""
 
 import numpy as np
 import pytest
 
+from repro.core.objectives import LinearRegressionObjective
 from repro.engine.accumulator import MomentAccumulator
-from repro.engine.sharding import ShardedAccumulator, shard_slices, tree_merge
-from repro.exceptions import DataError
+from repro.engine.sweep import EpsilonSweepEngine
+from repro.exceptions import DataError, DomainError, FederatedError
+from repro.federated import tree_merge
+from repro.federated.party import shard_slices
+
+
+@pytest.fixture
+def stream_data():
+    """(X, y): 5000 normalized rows with targets in [-1, 1]."""
+    rng = np.random.default_rng(2024)
+    d = 6
+    X = rng.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=(5000, d))
+    y = np.clip(X @ rng.uniform(-1, 1, d) + rng.normal(0, 0.1, 5000), -1.0, 1.0)
+    return X, y
+
+
+def _bit_identical(a, b) -> bool:
+    return (
+        a.dim == b.dim
+        and a.n == b.n
+        and np.array_equal(a.S2, b.S2)
+        and np.array_equal(a.S1, b.S1)
+        and np.array_equal(a.Sxy, b.Sxy)
+        and a.Sy == b.Sy
+        and a.Syy == b.Syy
+    )
+
+
+def _sharded(X, y, shards, block_size=256):
+    """One accumulator per block-aligned slice, merged by the coordinator."""
+    parts = [
+        MomentAccumulator(X.shape[1], block_size=block_size).update(X[sl], y[sl])
+        for sl in shard_slices(X.shape[0], shards, block_size=block_size)
+    ]
+    return tree_merge(parts)
 
 
 class TestShardSlices:
@@ -40,25 +81,18 @@ class TestShardSlices:
 
 class TestShardInvariance:
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_bit_identical_to_monolithic(self, shards, stream_data, bit_identical):
+    def test_bit_identical_to_monolithic(self, shards, stream_data):
         X, y = stream_data
         monolithic = MomentAccumulator(X.shape[1], block_size=256).update(X, y)
-        sharded = ShardedAccumulator(
-            X.shape[1], shards=shards, block_size=256
-        ).accumulate(X, y)
-        assert bit_identical(sharded.snapshot(), monolithic.snapshot())
+        assert _bit_identical(_sharded(X, y, shards).snapshot(), monolithic.snapshot())
 
     def test_fitted_coefficients_shard_invariant(self, stream_data):
         """Same seed + any shard count => bit-identical released model."""
-        from repro.core.objectives import LinearRegressionObjective
-        from repro.engine.sweep import EpsilonSweepEngine
-
         X, y = stream_data
         objective = LinearRegressionObjective(X.shape[1])
         omegas = []
         for shards in (1, 2, 4):
-            acc = ShardedAccumulator(X.shape[1], shards=shards).accumulate(X, y)
-            engine = EpsilonSweepEngine(objective, acc)
+            engine = EpsilonSweepEngine(objective, _sharded(X, y, shards))
             sweep = engine.sweep([0.5, 2.0], rng=np.random.default_rng(99))
             omegas.append(sweep.coefficients)
         np.testing.assert_array_equal(omegas[0], omegas[1])
@@ -66,27 +100,28 @@ class TestShardInvariance:
 
     def test_row_count_preserved(self, stream_data):
         X, y = stream_data
-        acc = ShardedAccumulator(X.shape[1], shards=3, block_size=128).accumulate(X, y)
-        assert acc.n_rows == X.shape[0]
+        assert _sharded(X, y, 3, block_size=128).n_rows == X.shape[0]
 
     def test_validation_still_applies_per_shard(self):
-        from repro.exceptions import DomainError
-
         X = np.full((40, 2), 0.9)  # ||x|| > 1
         with pytest.raises(DomainError):
-            ShardedAccumulator(2, shards=2, block_size=8).accumulate(X, np.zeros(40))
+            _sharded(X, np.zeros(40), 2, block_size=8)
 
 
 class TestTreeMerge:
     def test_empty_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(FederatedError):
             tree_merge([])
 
-    def test_single_passthrough(self):
-        acc = MomentAccumulator(2)
-        assert tree_merge([acc]) is acc
+    def test_single_passthrough(self, stream_data):
+        X, y = stream_data
+        acc = MomentAccumulator(X.shape[1]).update(X, y)
+        merged = tree_merge([acc])
+        # Non-mutating: a copy with the same moments, never the input itself.
+        assert merged is not acc
+        assert _bit_identical(merged.snapshot(), acc.snapshot())
 
-    def test_odd_count(self, stream_data, bit_identical):
+    def test_odd_count(self, stream_data):
         X, y = stream_data
         parts = [
             MomentAccumulator(X.shape[1], block_size=64).update(X[s::3], y[s::3])
@@ -99,23 +134,4 @@ class TestTreeMerge:
         linear = MomentAccumulator(X.shape[1], block_size=64)
         for s in range(3):
             linear.merge(MomentAccumulator(X.shape[1], block_size=64).update(X[s::3], y[s::3]))
-        assert bit_identical(merged.snapshot(), linear.snapshot())
-
-
-class TestShardSubstreams:
-    def test_deterministic_per_shard(self):
-        sharded = ShardedAccumulator(2, shards=4)
-        first = [g.integers(0, 2**30) for g in sharded.shard_substreams(123)]
-        second = [g.integers(0, 2**30) for g in sharded.shard_substreams(123)]
-        assert first == second
-
-    def test_shards_get_distinct_streams(self):
-        sharded = ShardedAccumulator(2, shards=4)
-        draws = [int(g.integers(0, 2**30)) for g in sharded.shard_substreams(123)]
-        assert len(set(draws)) == len(draws)
-
-    def test_tag_separates_uses(self):
-        sharded = ShardedAccumulator(2, shards=2)
-        a = sharded.shard_substreams(7, tag=[1])
-        b = sharded.shard_substreams(7, tag=[2])
-        assert a[0].integers(0, 2**30) != b[0].integers(0, 2**30)
+        assert _bit_identical(merged.snapshot(), linear.snapshot())

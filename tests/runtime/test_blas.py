@@ -20,12 +20,12 @@ from repro.exceptions import BlasThreadError
 from repro.runtime import (
     CellExecutor,
     PooledProcessExecutor,
+    SerialExecutor,
     plan_cells,
     run_plan,
     run_plan_group,
     single_blas_thread,
 )
-from repro.experiments import harness
 from repro.runtime import blas
 from repro.runtime.blas import blas_info, blas_threads
 from repro.session import ExecutionPolicy, Session
@@ -106,21 +106,25 @@ class TestRestore:
         assert blas_threads() == 2
 
 
-class TestEngineSweep:
-    def test_engine_sweep_runs_pinned(self, two_blas_threads, us, tiny_preset, monkeypatch):
-        seen = []
+class _RecordingExecutor(SerialExecutor):
+    """Records the BLAS thread count each map call runs under."""
 
-        class _Recording(harness.ShardedAccumulator):
-            def accumulate(self, X, y):
-                seen.append(blas_threads())
-                return super().accumulate(X, y)
+    def __init__(self):
+        self.seen = []
 
-        monkeypatch.setattr(harness, "ShardedAccumulator", _Recording)
+    def map(self, work, items):
+        self.seen.append(blas_threads())
+        return super().map(work, items)
+
+
+class TestBudgetSweep:
+    def test_budget_sweep_runs_pinned(self, two_blas_threads, us, tiny_preset):
+        executor = _RecordingExecutor()
         with Session(ExecutionPolicy(runtime="batched")) as session:
             session.budget_sweep(
-                us, "linear", 5, [0.5, 1.0], preset=tiny_preset, runtime="engine"
+                us, "linear", 5, [0.5, 1.0], preset=tiny_preset, executor=executor
             )
-        assert seen and set(seen) == {1}
+        assert executor.seen and set(executor.seen) == {1}
         assert blas_threads() == 2
 
 

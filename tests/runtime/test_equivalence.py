@@ -209,31 +209,15 @@ class TestHarnessBitCompatibility:
 
 
 class TestBudgetSweepEquivalence:
-    def test_batched_equals_percell(self, us):
+    @pytest.mark.parametrize("post_processing", ["spectral", "regularize"])
+    def test_batched_equals_percell(self, us, post_processing):
         batched, percell = (
             Session(ExecutionPolicy(runtime=runtime)).budget_sweep(
-                us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4
+                us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4,
+                post_processing=post_processing,
             )
-            for runtime in ("auto", "percell")
+            for runtime in ("batched", "percell")
         )
         for epsilon in EPSILONS:
             assert batched[epsilon].mean_score == percell[epsilon].mean_score
-
-    def test_engine_path_still_available(self, us):
-        engine, batched = (
-            Session(ExecutionPolicy(runtime=runtime)).budget_sweep(
-                us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4
-            )
-            for runtime in ("engine", "auto")
-        )
-        # Same protocol and noise stream; the engine aggregates through the
-        # block-wise accumulator, so agreement is to accumulation accuracy.
-        assert engine[0.8].mean_score == pytest.approx(
-            batched[0.8].mean_score, rel=1e-9
-        )
-
-    def test_shards_imply_engine_path(self, us):
-        result = Session(ExecutionPolicy(runtime="auto", shards=4)).budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=0
-        )
-        assert result[0.8].cells == SMOKE.folds * SMOKE.repetitions
+            assert batched[epsilon].std_score == percell[epsilon].std_score

@@ -232,11 +232,12 @@ class TestBackpressure:
         http, entered, release = tiny_server
         with ServeClient("127.0.0.1", http.bound_port, timeout=30) as client:
             client.create_tenant("acme", 10.0)
-            thread = threading.Thread(
-                target=lambda: ServeClient(
-                    "127.0.0.1", http.bound_port, timeout=30
-                ).status("acme")
-            )
+
+            def blocker():
+                with ServeClient("127.0.0.1", http.bound_port, timeout=30) as shed:
+                    shed.status("acme")
+
+            thread = threading.Thread(target=blocker)
             thread.start()
             assert entered.wait(10.0)
             # schedule the slot to free up while the shed client backs off

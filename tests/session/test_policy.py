@@ -26,7 +26,6 @@ class TestDefaultsAndValidation:
         assert policy.scale == "default"
         assert policy.sampling_rate == 1.0
         assert policy.seed == 0
-        assert policy.shards == 1
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -42,7 +41,8 @@ class TestDefaultsAndValidation:
             ("sampling_rate", 0.0),
             ("sampling_rate", 1.5),
             ("seed", "zero"),
-            ("shards", 0),
+            ("runtime", "engine"),
+            ("runtime", "auto"),
         ],
     )
     def test_invalid_values_rejected(self, field, bad):
@@ -81,7 +81,6 @@ class TestSerialization:
             scale="smoke",
             sampling_rate=0.5,
             seed=42,
-            shards=4,
         )
         assert ExecutionPolicy.from_json(policy.to_json()) == policy
         assert ExecutionPolicy.from_dict(policy.to_dict()) == policy
@@ -98,6 +97,21 @@ class TestSerialization:
             ExecutionPolicy.from_json('{"runtime": "quantum"}')
         with pytest.raises(ExperimentError, match="malformed"):
             ExecutionPolicy.from_json("{not json")
+
+    @pytest.mark.parametrize("layer", ["dict", "file", "explicit"])
+    def test_legacy_shards_field_rejected(self, layer, tmp_path):
+        """Records written before the sharded engine path was removed carry
+        ``shards``; every layer refuses them instead of dropping it."""
+        legacy = {"runtime": "batched", "shards": 1}
+        with pytest.raises(ExperimentError, match="unknown .*field"):
+            if layer == "dict":
+                ExecutionPolicy.from_dict(legacy)
+            elif layer == "file":
+                path = tmp_path / "legacy.json"
+                path.write_text(json.dumps(legacy))
+                ExecutionPolicy.resolve(env={}, policy_file=path)
+            else:
+                ExecutionPolicy.resolve(explicit=legacy, env={})
 
     def test_describe_lists_non_defaults_only(self):
         text = ExecutionPolicy(executor="thread", tile_size=1).describe()
@@ -182,6 +196,11 @@ class TestLayeredResolution:
             ExecutionPolicy.resolve(env={"REPRO_SEED": "3.5"})
         with pytest.raises(ExperimentError, match="executor"):
             ExecutionPolicy.resolve(env={"REPRO_EXECUTOR": "gpu"})
+
+    @pytest.mark.parametrize("runtime", ["engine", "auto"])
+    def test_removed_runtimes_rejected_from_env(self, runtime):
+        with pytest.raises(ExperimentError, match="runtime"):
+            ExecutionPolicy.resolve(env={"REPRO_RUNTIME": runtime})
 
     def test_bad_policy_file_raises(self, tmp_path):
         missing = tmp_path / "nope.json"

@@ -190,27 +190,6 @@ class TestOwnedCaches:
 
 
 class TestDispatchRules:
-    def test_engine_runtime_rejected_for_point_evaluation(self, tiny_dataset):
-        session = Session(ExecutionPolicy(runtime="engine"))
-        with pytest.raises(ExperimentError, match="budget sweeps"):
-            session.evaluate("FM", tiny_dataset, "linear", 5, 1.0)
-
-    def test_auto_runtime_means_batched_for_points(self, tiny_dataset, tiny_preset):
-        auto = Session(ExecutionPolicy(runtime="auto")).evaluate(
-            "FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset
-        )
-        batched = Session(ExecutionPolicy()).evaluate(
-            "FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset
-        )
-        assert _scores(auto) == _scores(batched)
-
-    def test_shards_require_engine_capable_runtime(self, tiny_dataset, tiny_preset):
-        session = Session(ExecutionPolicy(runtime="batched", shards=2))
-        with pytest.raises(ExperimentError, match="shards"):
-            session.budget_sweep(
-                tiny_dataset, "linear", 5, [1.0], preset=tiny_preset
-            )
-
     def test_unknown_figure(self, tiny_dataset):
         with pytest.raises(ExperimentError, match="unknown figure"):
             Session(ExecutionPolicy()).figure("figure12", tiny_dataset, "linear")
@@ -223,12 +202,6 @@ class TestDispatchRules:
         with pytest.raises(ExperimentError, match="budget grid"):
             Session(ExecutionPolicy()).figure(
                 "figure6", tiny_dataset, "linear", values=(1.0,)
-            )
-
-    def test_non_budget_figure_rejects_engine_flag(self, tiny_dataset):
-        with pytest.raises(ExperimentError, match="engine"):
-            Session(ExecutionPolicy()).figure(
-                "figure4", tiny_dataset, "linear", engine=True
             )
 
     def test_timing_specs_pin_logistic(self):
@@ -247,29 +220,3 @@ class TestDispatchRules:
             # aborts the run so the test stays fast.
             with pytest.raises(ExperimentError, match="needs a task"):
                 session.figure("figure4", tiny_dataset, None)
-
-    def test_inapplicable_shards_warn_on_non_budget_figures(
-        self, tiny_dataset, tiny_preset
-    ):
-        session = Session(ExecutionPolicy(shards=3))
-        with pytest.warns(UserWarning, match="shards"):
-            session.sweep(
-                tiny_dataset, "linear", "dimensionality", (), "figure4",
-                preset=tiny_preset,
-            )
-
-    def test_sharded_budget_figure_matches_unsharded(
-        self, tiny_dataset, tiny_preset
-    ):
-        """policy.shards reaches the budget figures' FM series (engine
-        ingestion sharding is bit-invariant, so scores must not move)."""
-        base = Session(ExecutionPolicy()).figure(
-            "figure6", tiny_dataset, "linear", preset=tiny_preset, seed=2
-        )
-        sharded = Session(ExecutionPolicy(shards=2)).figure(
-            "figure6", tiny_dataset, "linear", preset=tiny_preset, seed=2
-        )
-        for name in base.series:
-            assert [_scores(p) for p in sharded.series[name]] == [
-                _scores(p) for p in base.series[name]
-            ]

@@ -83,7 +83,7 @@ class TestBitwiseEquivalence:
             k: _scores(v) for k, v in fresh.items()
         }
 
-    @pytest.mark.parametrize("runtime", ["auto", "engine"])
+    @pytest.mark.parametrize("runtime", ["batched", "percell"])
     def test_evaluate_fm_budget_sweep(self, tiny_dataset, stream_version, runtime):
         warm, fresh = _warm_and_fresh(
             ExecutionPolicy(runtime=runtime, stream_version=stream_version),

@@ -17,8 +17,8 @@ import repro.core.taylor
 import repro.data.transforms
 import repro.engine.accumulator
 import repro.engine.cache
-import repro.engine.sharding
 import repro.engine.sweep
+import repro.federated.party
 import repro.privacy.budget
 import repro.regression.features
 import repro.regression.linear
@@ -34,8 +34,8 @@ MODULES = [
     repro.data.transforms,
     repro.engine.accumulator,
     repro.engine.cache,
-    repro.engine.sharding,
     repro.engine.sweep,
+    repro.federated.party,
     repro.privacy.budget,
     repro.regression.features,
     repro.regression.linear,

@@ -15,6 +15,9 @@ the protocol (and an import cycle).
 ``repro.serve`` releases each fit by a direct call, so it has no use for
 the runtime's executors, fallback chain or retry plumbing: it imports
 nothing from ``repro.runtime``.
+
+The runtime's executor is the only parallelism: no module but
+``runtime/executor.py`` builds a thread or process pool of its own.
 """
 
 import ast
@@ -73,3 +76,9 @@ def test_serve_transport_runs_on_plain_threads(module):
     # Each request is served on its connection's own thread, so serve needs
     # no event loop and no handler pool.
     assert _offenders(sorted((SRC / "serve").rglob("*.py")), module) == []
+
+
+@pytest.mark.parametrize("module", ["concurrent.futures", "multiprocessing"])
+def test_only_the_executor_builds_pools(module):
+    paths = [p for p in sorted(SRC.rglob("*.py")) if p != SRC / "runtime" / "executor.py"]
+    assert _offenders(paths, module) == []

@@ -16,9 +16,11 @@ import json
 import pytest
 
 from repro.exceptions import ExperimentError
+from repro.session import ExecutionPolicy
 from repro.verify.golden import (
     GOLDEN_CONFIGS,
     GOLDEN_GROUPS,
+    case_policy,
     default_store_path,
     digest_sweep_result,
     environment_fingerprint,
@@ -62,6 +64,15 @@ class TestStoreWellFormed:
             digest = entry["digest"]
             assert len(digest) == 64
             int(digest, 16)  # raises on non-hex
+
+    @pytest.mark.parametrize("group", GOLDEN_GROUPS, ids=lambda g: g.group_id)
+    def test_embedded_policies_load(self, group):
+        """Each stored policy is the reproduction recipe ``save_store``
+        documents: it loads as a policy and names the group's canonical
+        cell."""
+        stored = load_store()["groups"][group.group_id]["policy"]
+        policy = ExecutionPolicy.from_dict(stored)
+        assert policy == case_policy(group, GOLDEN_CONFIGS[0])
 
     def test_matrix_dimensions(self):
         """The acceptance floor: >= 2 figures x {percell, batched} x
