@@ -53,6 +53,8 @@ def test_accumulation_throughput(benchmark, results_dir, data, mode):
 
     acc = benchmark.pedantic(run, rounds=3, iterations=1)
     assert acc.n_rows == X.shape[0]
+    if not benchmark.enabled:
+        return  # --benchmark-disable smoke mode: correctness ran, no stats
     seconds = benchmark.stats.stats.median
     rows_per_sec = X.shape[0] / seconds
     benchmark.extra_info["rows_per_sec"] = rows_per_sec

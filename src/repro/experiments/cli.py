@@ -60,9 +60,8 @@ serial|thread|process`` selects where the work units run (one batched
 unit per tile and one per non-batchable baseline fold; a sweep runs all of
 its points' units as one map), with ``--max-workers`` bounding the pool.
 ``--tile-size`` bounds peak memory by materializing at most that many
-repetitions' prepared arrays at a time, and ``--stream-version 2`` opts
-into the alias-free substream derivation — both leave scores bitwise
-unchanged except that stream version 2 deliberately reshuffles all noise.
+repetitions' prepared arrays at a time; scores are bitwise unchanged at
+every tiling.
 
 Observability (:mod:`repro.obs`): ``--telemetry summary|trace`` turns on
 the run's recorder (default off — a single null-check per instrumented
@@ -77,7 +76,7 @@ is the fast gate (sensitivity certificates, auditor teeth, golden-store
 sanity), ``--tier 2`` statistically audits FM and every privacy-claiming
 baseline with certified lower bounds on the measured privacy loss, and
 ``--tier 3`` checks the golden-oracle digest matrix across every runtime/
-executor/tiling/stream-version combination.
+executor/tiling combination.
 """
 
 from __future__ import annotations
@@ -163,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
             "repetitions' prepared arrays at a time (1 = the historical "
             "one-rep-at-a-time profile; default: all repetitions at once). "
             "Scores are bitwise identical at every tiling.",
-        )
-        p.add_argument(
-            "--stream-version", type=int, choices=(1, 2), default=None,
-            help="substream derivation format: 2 (default) is the alias-free "
-            "SeedSequence derivation; 1 reproduces the historical streams "
-            "(pinned and tested via the *-sv1 golden groups)",
         )
         p.add_argument(
             "--telemetry", choices=("off", "summary", "trace"), default=None,
@@ -534,7 +527,6 @@ def _run_serve(args) -> int:
             "executor": args.executor,
             "max_workers": args.max_workers,
             "tile_size": args.tile_size,
-            "stream_version": args.stream_version,
             "telemetry": telemetry,
             "faults": args.faults,
             "max_retries": args.max_retries,
@@ -615,7 +607,6 @@ def _run_federated(args) -> int:
             "executor": args.executor,
             "max_workers": args.max_workers,
             "tile_size": args.tile_size,
-            "stream_version": args.stream_version,
             "telemetry": telemetry,
             "faults": args.faults,
             "max_retries": args.max_retries,
@@ -634,7 +625,6 @@ def _run_federated(args) -> int:
         block_size=args.block_size
         if args.block_size is not None
         else DEFAULT_BLOCK_SIZE,
-        stream_version=policy.stream_version,
         budget_dir=args.budget_dir,
     )
 
@@ -782,7 +772,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "executor": args.executor,
                 "max_workers": args.max_workers,
                 "tile_size": args.tile_size,
-                "stream_version": args.stream_version,
                 "scale": args.scale,
                 "seed": args.seed,
                 "telemetry": telemetry,

@@ -181,7 +181,6 @@ def _accuracy_sweep(
     algorithms: Sequence[str] | None = None,
     seed: int = 0,
     *,
-    stream_version: int,
     runtime: str = "batched",
     executor="serial",
     tile_size: int | None = None,
@@ -223,7 +222,6 @@ def _accuracy_sweep(
                 sampling_rate=float(rate),
                 seed=seed + 1000 * i,
                 tile_size=tile_size,
-                stream_version=stream_version,
                 prepared_cache=prepared_cache,
             )
         )
@@ -249,7 +247,6 @@ def _budget_sweep(
     preset: ScalePreset,
     seed: int,
     *,
-    stream_version: int,
     runtime: str = "batched",
     executor="serial",
     tile_size: int | None = None,
@@ -269,14 +266,14 @@ def _budget_sweep(
     others = _accuracy_sweep(
         dataset, task, "epsilon", PRIVACY_BUDGETS, figure=figure,
         preset=preset, seed=seed, runtime=runtime, executor=executor,
-        tile_size=tile_size, stream_version=stream_version,
+        tile_size=tile_size,
         algorithms=[name for name in algorithms if name != "FM"],
         prepared_cache=prepared_cache,
     )
     fm = _evaluate_fm_budget_sweep(
         dataset, task, dims=DEFAULT_DIMENSIONALITY, epsilons=PRIVACY_BUDGETS,
         preset=preset, seed=seed, runtime=runtime, executor=executor,
-        tile_size=tile_size, stream_version=stream_version,
+        tile_size=tile_size,
         prepared_cache=prepared_cache,
     )
     series: dict[str, tuple[EvaluationResult, ...]] = {}

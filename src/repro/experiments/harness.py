@@ -38,8 +38,6 @@ solve, ``"percell"`` is the cell-by-cell oracle.
 The protocol bodies are private: :class:`repro.session.Session` and
 :func:`repro.session.registry.run_figure` call them with every execution
 argument taken from an :class:`~repro.session.ExecutionPolicy`.
-``stream_version`` is therefore a required keyword — a caller can never
-silently get a stream format other than the one its policy names.
 """
 
 from __future__ import annotations
@@ -155,7 +153,6 @@ def _evaluate_algorithm(
     seed: int = 0,
     algorithm_kwargs: Mapping | None = None,
     *,
-    stream_version: int,
     runtime: str = "batched",
     executor: str | CellExecutor = "serial",
     tile_size: int | None = None,
@@ -181,9 +178,6 @@ def _evaluate_algorithm(
         Base seed; all cell substreams derive from it.
     algorithm_kwargs:
         Extra constructor arguments (ablation benches use this).
-    stream_version:
-        :func:`~repro.privacy.rng.derive_substream` format (``2`` is the
-        alias-free derivation, ``1`` the historical one).
     runtime:
         ``"batched"`` executes supported algorithms through the stacked
         runtime kernels; ``"percell"`` forces the per-cell reference path.
@@ -211,7 +205,6 @@ def _evaluate_algorithm(
             sampling_rate=sampling_rate,
             seed=seed,
             algorithm_kwargs=algorithm_kwargs,
-            stream_version=stream_version,
             prepared_cache=prepared_cache,
         )
     else:
@@ -226,7 +219,6 @@ def _evaluate_algorithm(
             seed=seed,
             algorithm_kwargs=algorithm_kwargs,
             tile_size=tile_size,
-            stream_version=stream_version,
             prepared_cache=prepared_cache,
         )
     outcome = run_plan(plan, mode=runtime, executor=executor)
@@ -244,7 +236,6 @@ def _evaluate_fm_budget_sweep(
     post_processing: str = "spectral",
     tight_sensitivity: bool = False,
     *,
-    stream_version: int,
     runtime: str = "batched",
     executor: str | CellExecutor = "serial",
     tile_size: int | None = None,
@@ -287,7 +278,6 @@ def _evaluate_fm_budget_sweep(
             sampling_rate=sampling_rate,
             seed=seed,
             algorithm_kwargs=fm_kwargs,
-            stream_version=stream_version,
             prepared_cache=prepared_cache,
         )
     else:
@@ -302,7 +292,6 @@ def _evaluate_fm_budget_sweep(
             seed=seed,
             algorithm_kwargs=fm_kwargs,
             tile_size=tile_size,
-            stream_version=stream_version,
             prepared_cache=prepared_cache,
         )
     outcome = run_plan(plan, mode=runtime, executor=executor)
@@ -321,7 +310,6 @@ def _plan_algorithms(
     sampling_rate: float = 1.0,
     seed: int = 0,
     *,
-    stream_version: int,
     tile_size: int | None = None,
     prepared_cache: PreparedDataCache | None = None,
 ) -> list[TiledPlan]:
@@ -353,7 +341,6 @@ def _plan_algorithms(
             sampling_rate=sampling_rate,
             seed=seed,
             tile_size=1 if tile_size is None else tile_size,
-            stream_version=stream_version,
             prepared_cache=cache,
         )
         for name in algorithms
@@ -382,7 +369,6 @@ def _evaluate_algorithms(
     sampling_rate: float = 1.0,
     seed: int = 0,
     *,
-    stream_version: int,
     runtime: str = "batched",
     executor: str | CellExecutor = "serial",
     tile_size: int | None = None,
@@ -399,7 +385,6 @@ def _evaluate_algorithms(
     """
     plans = _plan_algorithms(
         algorithms, dataset, task, dims, epsilon, preset, sampling_rate, seed,
-        stream_version=stream_version, tile_size=tile_size,
-        prepared_cache=prepared_cache,
+        tile_size=tile_size, prepared_cache=prepared_cache,
     )
     return _point_results(run_plan_group(plans, mode=runtime, executor=executor), task)

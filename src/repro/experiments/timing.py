@@ -15,9 +15,8 @@ comes from :mod:`repro.obs`: the plan runs under a local
 ``cell.fit`` spans — the same span, wrapping exactly ``model.fit``, that
 every traced run records, so the numbers are identical to the historical
 fit-only ``perf_counter`` clock this module used to keep by hand.  Each
-repetition's noise stream is still ``derive_substream(seed, [rep])`` — the
-plan's stream tags reproduce the historical derivation bit for bit — so
-timed fits draw the same noise the pre-runtime loop drew.
+repetition's noise stream is ``derive_substream(seed, [rep])``, the plan's
+stream tag for that repetition.
 """
 
 from __future__ import annotations
@@ -58,10 +57,10 @@ def _timing_plan(
     """Plan ``repetitions`` train-on-everything cells over fixed arrays.
 
     Each repetition is one planned fold whose training split is the whole
-    dataset and whose stream tag is ``(rep,)`` — matching the historical
-    ``derive_substream(seed, [rep])`` per-repetition stream exactly.  The
-    single-row test split only feeds the (discarded) score; fit timing is
-    measured around ``fit`` alone, as before.
+    dataset and whose stream tag is ``(rep,)``, so repetition ``rep``
+    draws from ``derive_substream(seed, [rep])``.  The single-row test
+    split only feeds the (discarded) score; fit timing is measured around
+    ``fit`` alone, as before.
     """
     from .config import ScalePreset  # lazy: config imports nothing from here
 

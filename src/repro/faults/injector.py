@@ -4,11 +4,11 @@ The injector is the runtime half of :mod:`repro.faults.plan`: production
 code asks it, at each compiled-in site, "does the fault fire *here*?".
 The answer is a pure function of ``(plan.seed, site, index, attempt)``,
 computed through the same keyed-substream derivation the experiments use
-(:func:`repro.privacy.rng.derive_substream`, version-2 format, under a
-dedicated domain word so fault streams can never collide with noise
-streams).  Purity is the point: a process-pool child and its parent
-agree on which items crash without exchanging any state, and re-running
-a chaos test replays the exact fault pattern.
+(:func:`repro.privacy.rng.derive_substream`, under a dedicated domain word
+so fault streams can never collide with noise streams).  Purity is the
+point: a process-pool child and its parent agree on which items crash
+without exchanging any state, and re-running a chaos test replays the
+exact fault pattern.
 
 Two query styles:
 
@@ -120,7 +120,6 @@ class FaultInjector:
         gen = derive_substream(
             self.plan.seed,
             [_FAULT_DOMAIN, FAULT_SITES[site], int(index)],
-            stream_version=2,
         )
         return float(gen.random()) < spec.probability
 
@@ -153,7 +152,6 @@ class FaultInjector:
         gen = derive_substream(
             self.plan.seed,
             [_FAULT_DOMAIN, _CORRUPT_WORD, FAULT_SITES[site], int(index)],
-            stream_version=2,
         )
         position = int(gen.integers(0, len(data)))
         mask = int(gen.integers(1, 256))  # non-zero XOR: the byte must change

@@ -266,9 +266,7 @@ class FederatedCoordinator:
                     objective, merged, tight_sensitivity=spec.tight_sensitivity
                 )
                 if spec.noise_mode == "central":
-                    gen = derive_substream(
-                        spec.seed, [FED_NOISE_TAG], spec.stream_version
-                    )
+                    gen = derive_substream(spec.seed, [FED_NOISE_TAG])
                     sweep = engine.sweep(spec.epsilons, rng=gen)
                 else:  # share: reconstruct the central sample bit-exactly
                     raw = combine_shares([e.share for e in envelopes])
@@ -327,7 +325,7 @@ def centralized_fit(
     engine = EpsilonSweepEngine(
         objective, accumulator, tight_sensitivity=spec.tight_sensitivity
     )
-    gen = derive_substream(spec.seed, [FED_NOISE_TAG], spec.stream_version)
+    gen = derive_substream(spec.seed, [FED_NOISE_TAG])
     sweep = engine.sweep(spec.epsilons, rng=gen)
     return FederatedFitResult(
         task=spec.task,

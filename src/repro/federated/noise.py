@@ -10,8 +10,8 @@ The federation keys that sample by the shared seed:
 
 ``central``
     The coordinator draws the sample itself from
-    ``derive_substream(seed, [FED_NOISE_TAG], stream_version)`` — exactly
-    the generator a single-box ``sweep`` would be handed, which is what
+    ``derive_substream(seed, [FED_NOISE_TAG])`` — exactly the generator a
+    single-box ``sweep`` would be handed, which is what
     makes the federated fit *bitwise identical* to single-box ingestion
     of the concatenated rows.
 
@@ -82,22 +82,20 @@ def _sample_shape(n_eps: int, dim: int) -> tuple[int, int]:
     return (int(n_eps), 1 + int(dim) + int(dim) * int(dim))
 
 
-def central_raw_sample(
-    seed: int, n_eps: int, dim: int, stream_version: int
-) -> np.ndarray:
+def central_raw_sample(seed: int, n_eps: int, dim: int) -> np.ndarray:
     """The standardized sweep sample the central calibration is defined by.
 
     This is bit-for-bit the first draw of
     ``EpsilonSweepEngine.sweep(epsilons, rng=derive_substream(seed,
-    [FED_NOISE_TAG], stream_version))`` — the single definition every
-    noise mode's release traces back to.
+    [FED_NOISE_TAG]))`` — the single definition every noise mode's release
+    traces back to.
     """
-    gen = derive_substream(int(seed), [FED_NOISE_TAG], stream_version)
+    gen = derive_substream(int(seed), [FED_NOISE_TAG])
     return gen.laplace(0.0, 1.0, size=_sample_shape(n_eps, dim))
 
 
-def _mask(seed: int, party_id: int, n_eps: int, dim: int, stream_version: int) -> np.ndarray:
-    gen = derive_substream(int(seed), [FED_MASK_TAG, int(party_id)], stream_version)
+def _mask(seed: int, party_id: int, n_eps: int, dim: int) -> np.ndarray:
+    gen = derive_substream(int(seed), [FED_MASK_TAG, int(party_id)])
     return gen.integers(
         0, _U64_MAX, size=_sample_shape(n_eps, dim), dtype=np.uint64, endpoint=True
     )
@@ -109,7 +107,6 @@ def noise_share(
     parties: int,
     n_eps: int,
     dim: int,
-    stream_version: int,
 ) -> np.ndarray:
     """Party ``party_id``'s additive share of the central sample's bits.
 
@@ -122,12 +119,12 @@ def noise_share(
     party_id = int(party_id)
     if not 0 <= party_id < parties:
         raise ValueError(f"party id {party_id} outside [0, {parties})")
-    own = _mask(seed, party_id, n_eps, dim, stream_version)
-    nxt = _mask(seed, (party_id + 1) % parties, n_eps, dim, stream_version)
+    own = _mask(seed, party_id, n_eps, dim)
+    nxt = _mask(seed, (party_id + 1) % parties, n_eps, dim)
     with np.errstate(over="ignore"):
         share = own - nxt  # mod-2^64 wraparound is the point
         if party_id == 0:
-            raw = central_raw_sample(seed, n_eps, dim, stream_version)
+            raw = central_raw_sample(seed, n_eps, dim)
             share = share + raw.view(np.uint64)
     return share
 
@@ -143,11 +140,9 @@ def combine_shares(shares: Sequence[np.ndarray]) -> np.ndarray:
     return total.view(np.float64)
 
 
-def party_noise_rng(
-    seed: int, party_id: int, stream_version: int
-) -> np.random.Generator:
+def party_noise_rng(seed: int, party_id: int) -> np.random.Generator:
     """The keyed substream party ``party_id`` draws its local noise from."""
-    return derive_substream(int(seed), [FED_PARTY_TAG, int(party_id)], stream_version)
+    return derive_substream(int(seed), [FED_PARTY_TAG, int(party_id)])
 
 
 def perturb_form_stack(

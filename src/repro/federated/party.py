@@ -60,7 +60,6 @@ class FederationSpec:
     parties: int
     noise_mode: str = "central"
     block_size: int = DEFAULT_BLOCK_SIZE
-    stream_version: int = 2
     tight_sensitivity: bool = False
     budget_dir: Optional[str] = None
     budget_total: Optional[float] = None
@@ -88,7 +87,6 @@ class FederationSpec:
             task=self.task,
             dim=self.dim,
             block_size=self.block_size,
-            stream_version=self.stream_version,
             noise_mode=self.noise_mode,
             parties=self.parties,
         )
@@ -191,7 +189,6 @@ def run_party(
                 spec.parties,
                 len(spec.epsilons),
                 spec.dim,
-                spec.stream_version,
             )
         elif spec.noise_mode == "party":
             objective = objective_for(spec.task, spec.dim)
@@ -199,7 +196,7 @@ def run_party(
                 accumulator.quadratic_form(objective),
                 spec.epsilons,
                 objective.sensitivity(tight=spec.tight_sensitivity),
-                party_noise_rng(spec.seed, party_id, spec.stream_version),
+                party_noise_rng(spec.seed, party_id),
             )
         envelope = PartyEnvelope(
             party_id=party_id,
@@ -208,7 +205,6 @@ def run_party(
             dim=spec.dim,
             n_rows=accumulator.n_rows,
             block_size=spec.block_size,
-            stream_version=spec.stream_version,
             noise_mode=spec.noise_mode,
             seed=spec.seed,
             epsilons=spec.epsilons,

@@ -7,8 +7,8 @@ A party's contribution travels as a single self-describing blob:
 The header carries the wire version, the payload byte count and SHA-256
 (the outer integrity layer), a **schema fingerprint** binding the
 envelope to one exact federation configuration (task, dimensionality,
-block size, stream version, noise mode, party count), and the
-party's public metadata (id, row count, epsilons, seed).  The payload is
+block size, noise mode, party count), and the party's public metadata
+(id, row count, epsilons, seed).  The payload is
 a standard ``.npz`` archive whose members depend on the noise mode:
 
 ``central`` / ``share``
@@ -69,12 +69,12 @@ __all__ = [
 ]
 
 #: Wire format version written by this build.  Version 2 dropped the
-#: ``backend`` header field (and its fingerprint entry); version 1
-#: envelopes are refused.
-WIRE_VERSION = 2
+#: ``backend`` header field and version 3 the noise-stream format field
+#: (each with its fingerprint entry); older envelopes are refused.
+WIRE_VERSION = 3
 
 #: Wire format versions this build can decode.
-SUPPORTED_WIRE_VERSIONS = (2,)
+SUPPORTED_WIRE_VERSIONS = (3,)
 
 #: How the FM noise is produced (see :mod:`repro.federated.noise`).
 NOISE_MODES = ("central", "share", "party")
@@ -85,7 +85,6 @@ def schema_fingerprint(
     task: str,
     dim: int,
     block_size: int,
-    stream_version: int,
     noise_mode: str,
     parties: int,
 ) -> str:
@@ -100,7 +99,6 @@ def schema_fingerprint(
             "task": str(task),
             "dim": int(dim),
             "block_size": int(block_size),
-            "stream_version": int(stream_version),
             "noise_mode": str(noise_mode),
             "parties": int(parties),
         },
@@ -119,7 +117,6 @@ class PartyEnvelope:
     dim: int
     n_rows: int
     block_size: int
-    stream_version: int
     noise_mode: str
     seed: int
     epsilons: tuple[float, ...]
@@ -179,7 +176,6 @@ def encode_envelope(envelope: PartyEnvelope) -> bytes:
         "dim": int(envelope.dim),
         "n_rows": int(envelope.n_rows),
         "block_size": int(envelope.block_size),
-        "stream_version": int(envelope.stream_version),
         "noise_mode": envelope.noise_mode,
         "seed": int(envelope.seed),
         "epsilons": [float(e) for e in envelope.epsilons],
@@ -238,7 +234,6 @@ def decode_envelope(
         dim = int(header["dim"])
         n_rows = int(header["n_rows"])
         block_size = int(header["block_size"])
-        stream_version = int(header["stream_version"])
         noise_mode = str(header["noise_mode"])
         seed = int(header["seed"])
         epsilons = tuple(float(e) for e in header["epsilons"])
@@ -259,7 +254,6 @@ def decode_envelope(
         task=task,
         dim=dim,
         block_size=block_size,
-        stream_version=stream_version,
         noise_mode=noise_mode,
         parties=parties,
     )
@@ -342,7 +336,6 @@ def decode_envelope(
         dim=dim,
         n_rows=n_rows,
         block_size=block_size,
-        stream_version=stream_version,
         noise_mode=noise_mode,
         seed=seed,
         epsilons=epsilons,

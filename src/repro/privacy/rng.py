@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "RngLike",
-    "STREAM_VERSIONS",
     "ensure_rng",
     "spawn",
     "derive_substream",
@@ -24,13 +23,10 @@ __all__ = [
 
 RngLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
-#: Supported stream-derivation formats (see :func:`derive_substream`).
-STREAM_VERSIONS = (1, 2)
-
-#: Domain separator appended (together with the tag length) by the
-#: version-2 derivation.  The value is arbitrary but pinned: changing it
-#: reshuffles every version-2 stream.
-_V2_DOMAIN_WORD = 0x5D5EC0DE
+#: Domain separator appended (together with the tag length) by
+#: :func:`derive_substream`.  The value is arbitrary but pinned: changing it
+#: reshuffles every derived stream.
+_DOMAIN_WORD = 0x5D5EC0DE
 
 
 def ensure_rng(rng: RngLike = None) -> np.random.Generator:
@@ -87,7 +83,6 @@ def spawn(rng: RngLike, count: int) -> list[np.random.Generator]:
 def derive_substream(
     rng: RngLike,
     tag: Sequence[int] | int,
-    stream_version: int = 1,
 ) -> np.random.Generator:
     """Derive a child generator keyed by ``tag``.
 
@@ -96,42 +91,18 @@ def derive_substream(
     stream.  Used to give each (figure, panel, sweep-point, repetition) cell
     of an experiment a reproducible, addressable stream.
 
-    ``stream_version`` selects the derivation format:
-
-    ``1`` (default)
-        The historical format: entropy is ``[seed, *tag]`` verbatim.  Every
-        stream the harness has ever published uses it, so it stays the
-        default indefinitely.
-    ``2``
-        Appends ``[len(tag), 0x5D5EC0DE]`` (tag length + a fixed domain
-        separator) to the entropy, which removes the zero-padding alias
-        described below: ``[a, b]`` and ``[a, b, 0]`` derive different
-        entropy lists (``[s, a, b, 2, D]`` vs ``[s, a, b, 0, 3, D]``) and
-        therefore independent streams.  Opting in reshuffles every stream,
-        so it must be an explicit, recorded decision (the runtime plumbs it
-        as ``stream_version=`` end to end).
-
-    .. warning::
-        Under version 1, ``numpy.random.SeedSequence`` zero-pads entropy to
-        its 4-word pool, so a tag and the same tag extended by trailing
-        zeros alias the same stream while the combined ``[seed, *tag]``
-        list fits in the pool: ``derive_substream(s, [a, b])`` equals
-        ``derive_substream(s, [a, b, 0])``.  Callers nesting namespaces
-        (e.g. the harness's ``[key, rep]`` data stream vs ``[key, rep, 0]``
-        fold-0 cell stream) inherit this aliasing; it is pinned by tests
-        because changing the derivation would reshuffle every stream the
-        harness has ever produced.  Version 2 is the fix, behind the
-        explicit opt-in.
+    The entropy is ``[seed, *tag, len(tag), 0x5D5EC0DE]``: the tag length
+    and a fixed domain separator keep nested namespaces apart.
+    ``numpy.random.SeedSequence`` zero-pads entropy to its 4-word pool, so
+    without the length word ``[a, b]`` and ``[a, b, 0]`` would alias one
+    stream (e.g. the harness's ``[key, rep]`` data stream and its
+    ``[key, rep, 0]`` fold-0 noise stream); with it they derive
+    ``[s, a, b, 2, D]`` and ``[s, a, b, 0, 3, D]`` and are independent.
     """
-    if stream_version not in STREAM_VERSIONS:
-        raise ValueError(
-            f"stream_version must be one of {STREAM_VERSIONS}, got {stream_version!r}"
-        )
     if isinstance(tag, (int, np.integer)):
         tag = [int(tag)]
     tag_list = [int(t) for t in tag]
-    if stream_version == 2:
-        tag_list = [*tag_list, len(tag_list), _V2_DOMAIN_WORD]
+    tag_list += [len(tag_list), _DOMAIN_WORD]
     if isinstance(rng, (int, np.integer)):
         seq = np.random.SeedSequence([int(rng), *tag_list])
         return np.random.default_rng(seq)
@@ -139,13 +110,3 @@ def derive_substream(
     entropy = parent.integers(0, 2**32, size=2, dtype=np.uint64)
     seq = np.random.SeedSequence([*entropy.tolist(), *tag_list])
     return np.random.default_rng(seq)
-
-
-def _self_test() -> None:  # pragma: no cover - debugging helper
-    a = derive_substream(7, [1, 2])
-    b = derive_substream(7, [1, 2])
-    assert a.integers(0, 1 << 30) == b.integers(0, 1 << 30)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _self_test()

@@ -374,7 +374,6 @@ class CellPlan:
     algorithm_kwargs: Mapping
     folds: tuple[PlannedFold, ...]
     kernel: str = field(default=KERNEL_GENERIC)
-    stream_version: int = field(default=1)
     cache: "PreparedDataCache | None" = field(default=None, repr=False, compare=False)
 
     @property
@@ -389,9 +388,7 @@ class CellPlan:
 
     def substream(self, fold: PlannedFold) -> np.random.Generator:
         """Derive the fold's noise generator (fresh on every call)."""
-        return derive_substream(
-            self.seed, list(fold.stream_tag), stream_version=self.stream_version
-        )
+        return derive_substream(self.seed, list(fold.stream_tag))
 
     def iter_cells(self) -> Iterator[tuple[PlannedFold, float]]:
         """Iterate cells fold-major (the canonical execution order)."""
@@ -409,7 +406,6 @@ def _plan_one_rep(
     sampling_rate: float,
     seed: int,
     rep: int,
-    stream_version: int,
     cache: PreparedDataCache | None,
 ) -> tuple[list[PlannedFold], int]:
     """Materialize one repetition's folds, replicating the loop's RNG order.
@@ -420,9 +416,7 @@ def _plan_one_rep(
     working dataset *is* the raw dataset and the prepared arrays come from
     the shared cache (identical values, one materialization).
     """
-    rep_rng = derive_substream(
-        seed, [algorithm_key, rep], stream_version=stream_version
-    )
+    rep_rng = derive_substream(seed, [algorithm_key, rep])
     base_n = preset.cardinality(dataset.n)
     working = dataset
     identity = True
@@ -487,7 +481,6 @@ def plan_cells(
     sampling_rate: float = 1.0,
     seed: int = 0,
     algorithm_kwargs: Mapping | None = None,
-    stream_version: int = 1,
     prepared_cache: PreparedDataCache | None = None,
 ) -> CellPlan:
     """Enumerate all protocol cells for one algorithm, eagerly.
@@ -502,9 +495,7 @@ def plan_cells(
     subsample and folds across budgets (the one-pass layout of
     :meth:`~repro.session.Session.budget_sweep`), while a single-budget
     plan is exactly one harness sweep point.
-    ``stream_version`` selects the :func:`derive_substream` format (the
-    default, 1, is the historical derivation); ``prepared_cache`` opts into
-    cross-plan prepared-data reuse.
+    ``prepared_cache`` opts into cross-plan prepared-data reuse.
 
     Memory: the plan materializes every repetition's prepared arrays up
     front and keeps them alive for its lifetime — at the shipped presets
@@ -522,7 +513,7 @@ def plan_cells(
     for rep in range(preset.repetitions):
         rep_folds, dim = _plan_one_rep(
             key, dataset, task, dims, preset, sampling_rate, seed, rep,
-            stream_version, prepared_cache,
+            prepared_cache,
         )
         folds.extend(rep_folds)
     return CellPlan(
@@ -537,7 +528,6 @@ def plan_cells(
         algorithm_kwargs=kwargs,
         folds=tuple(folds),
         kernel=classify_kernel(algorithm, task, kwargs),
-        stream_version=int(stream_version),
         cache=prepared_cache,
     )
 
@@ -574,7 +564,6 @@ class TiledPlan:
     algorithm_kwargs: Mapping
     kernel: str
     tile_size: int
-    stream_version: int = 1
     cache: PreparedDataCache | None = None
     _last_dim: int = field(default=0, repr=False)
     _last_n_train: int = field(default=0, repr=False)
@@ -633,8 +622,7 @@ class TiledPlan:
         for rep in self.tile_reps(index):
             rep_folds, dim = _plan_one_rep(
                 key, self.dataset, self.task, self.dims, self.preset,
-                self.sampling_rate, self.seed, rep, self.stream_version,
-                self.cache,
+                self.sampling_rate, self.seed, rep, self.cache,
             )
             folds.extend(rep_folds)
         self._last_dim = dim
@@ -651,7 +639,6 @@ class TiledPlan:
             algorithm_kwargs=self.algorithm_kwargs,
             folds=tuple(folds),
             kernel=self.kernel,
-            stream_version=self.stream_version,
             cache=self.cache,
         )
 
@@ -672,7 +659,6 @@ def plan_cells_tiled(
     seed: int = 0,
     algorithm_kwargs: Mapping | None = None,
     tile_size: int | None = None,
-    stream_version: int = 1,
     prepared_cache: PreparedDataCache | None = None,
 ) -> TiledPlan:
     """Plan all protocol cells as a lazily materializing :class:`TiledPlan`.
@@ -700,6 +686,5 @@ def plan_cells_tiled(
         algorithm_kwargs=kwargs,
         kernel=classify_kernel(algorithm, task, kwargs),
         tile_size=int(tile_size),
-        stream_version=int(stream_version),
         cache=prepared_cache,
     )

@@ -97,7 +97,6 @@ def _release(
     form,
     epsilons: tuple[float, ...],
     seed: int,
-    stream_version: int,
     partition_site: int | None = None,
 ) -> np.ndarray:
     """One fit's Functional-Mechanism release: one model per epsilon.
@@ -111,9 +110,9 @@ def _release(
     if partition_site is not None:
         prefix.append(partition_site)
     raw = np.concatenate([
-        derive_substream(
-            seed, [*prefix, index], stream_version=stream_version
-        ).laplace(0.0, 1.0, size=(1, 1 + d + d * d))
+        derive_substream(seed, [*prefix, index]).laplace(
+            0.0, 1.0, size=(1, 1 + d + d * d)
+        )
         for index in range(len(epsilons))
     ])
     # sweep_from_draws counts no draws (federated callers inject draws
@@ -282,8 +281,7 @@ class ServeApp:
                 ) from None
             omegas = _release(
                 task, dims, statistics.quadratic_form(objective_for(task, dims)),
-                epsilons, seed, self.session.policy.stream_version,
-                partition_site=_partition_site(partition),
+                epsilons, seed, partition_site=_partition_site(partition),
             )
             digest = fit_digest(task, dims, epsilons, seed, n_rows, omegas)
             recorder.counter("serve.fits")

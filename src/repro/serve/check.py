@@ -54,9 +54,7 @@ def _tenant_index(name: str) -> int:
     return int(name.rsplit("-", 1)[1])
 
 
-def _expected_digest(
-    config: dict, tenant_index: int, fit: dict, stream_version: int
-) -> str:
+def _expected_digest(config: dict, tenant_index: int, fit: dict) -> str:
     """Recompute one fit exactly as the service did, without the service."""
     task = config["task"]
     dims = int(config["dims"])
@@ -75,9 +73,7 @@ def _expected_digest(
         [
             EpsilonSweepEngine(objective, form).sweep(
                 [eps],
-                rng=derive_substream(
-                    seed, [_SERVE_STREAM_TAG, i], stream_version=stream_version
-                ),
+                rng=derive_substream(seed, [_SERVE_STREAM_TAG, i]),
             ).coefficients[0]
             for i, eps in enumerate(epsilons)
         ],
@@ -91,7 +87,6 @@ def verify_report(
     data_dir: str | Path,
     *,
     strict: bool = False,
-    stream_version: int = 2,
 ) -> dict:
     """Check both invariants; returns ``{"ok": bool, "violations": [...]}."""
     data_dir = Path(data_dir)
@@ -130,7 +125,7 @@ def verify_report(
             budget.close()
         tenants_checked += 1
         for fit in tenant_report["fits"]:
-            expected = _expected_digest(config, index, fit, stream_version)
+            expected = _expected_digest(config, index, fit)
             if fit["digest"] != expected:
                 violations.append(
                     {"tenant": name, "kind": "digest_mismatch",
@@ -155,14 +150,10 @@ def main(argv=None) -> int:
         "--strict", action="store_true",
         help="require ledger == accepted spends exactly (clean runs only)",
     )
-    parser.add_argument("--stream-version", type=int, default=2)
     args = parser.parse_args(argv)
     with open(args.report, encoding="utf-8") as handle:
         report = json.load(handle)
-    result = verify_report(
-        report, args.data_dir,
-        strict=args.strict, stream_version=args.stream_version,
-    )
+    result = verify_report(report, args.data_dir, strict=args.strict)
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0 if result["ok"] else 1
 

@@ -52,9 +52,7 @@ def synthetic_batch(
     construction; the same coordinates always produce the same bytes, on
     the generator and on the offline verifier alike.
     """
-    rng = derive_substream(
-        seed, [_LOADGEN_TAG, tenant_index, batch_index], stream_version=2
-    )
+    rng = derive_substream(seed, [_LOADGEN_TAG, tenant_index, batch_index])
     X = rng.uniform(-1.0, 1.0, size=(rows, dims))
     X = X / (np.linalg.norm(X, axis=1)[:, None] + 1.0)
     w = rng.uniform(-1.0, 1.0, size=dims)

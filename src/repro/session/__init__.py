@@ -3,9 +3,9 @@
 The canonical way to run this reproduction since PR 5:
 
 * :class:`ExecutionPolicy` — one frozen, validated value for every
-  execution knob (runtime, executor + pool width, tiling, stream
-  version, scale, sampling rate, seed, ...), with layered resolution
-  (explicit > ``REPRO_*`` environment > policy file > defaults), exact
+  execution knob (runtime, executor + pool width, tiling, scale,
+  sampling rate, seed, ...), with layered resolution (explicit >
+  ``REPRO_*`` environment > policy file > defaults), exact
   JSON round-tripping, and ``derive()`` for replace-style derivation.
 * :class:`Session` — a facade owning process state across calls: a
   persistent prepared-data cache, a reusable executor pool, and the
@@ -15,7 +15,6 @@ The canonical way to run this reproduction since PR 5:
 """
 
 from .policy import (
-    DEFAULT_STREAM_VERSION,
     POLICY_ENV_VARS,
     POLICY_FILE_ENV,
     ExecutionPolicy,
@@ -24,7 +23,6 @@ from .registry import FIGURE_SPECS, FigureSpec, figure_spec, run_figure
 from .session import Session
 
 __all__ = [
-    "DEFAULT_STREAM_VERSION",
     "POLICY_ENV_VARS",
     "POLICY_FILE_ENV",
     "ExecutionPolicy",

@@ -1,9 +1,9 @@
 """`ExecutionPolicy` — one frozen, validated object for every execution knob.
 
 Four PRs of engine/runtime/verify growth threaded the same execution kwargs
-(``runtime=``, ``executor=``, ``tile_size=``, ``stream_version=``,
-``preset=``, ``seed=`` ...) by hand through every harness
-entry point, every figure driver, the CLI and the golden-oracle registry.
+(``runtime=``, ``executor=``, ``tile_size=``, ``preset=``, ``seed=`` ...)
+by hand through every harness entry point, every figure driver, the CLI
+and the golden-oracle registry.
 This module replaces the blob with a single dataclass:
 
 * **frozen** — a policy is a value, safe to share across threads and to
@@ -27,7 +27,6 @@ Environment variables (all optional)::
     REPRO_EXECUTOR        serial | thread | process
     REPRO_MAX_WORKERS     positive int, or "none" (executor default)
     REPRO_TILE_SIZE       positive int, or "none" (eager planning)
-    REPRO_STREAM_VERSION  1 | 2
     REPRO_SCALE           smoke | default | full
     REPRO_SAMPLING_RATE   float in (0, 1]
     REPRO_SEED            int
@@ -37,14 +36,6 @@ Environment variables (all optional)::
     REPRO_TILE_TIMEOUT    positive float seconds, or "none" (no timeout)
     REPRO_FAILURE_MODE    raise | fallback
     REPRO_POLICY_FILE     path to a JSON policy file (the file layer)
-
-The ``stream_version`` default flip (ROADMAP) has landed: the
-:data:`DEFAULT_STREAM_VERSION` constant below is now ``2`` (the
-alias-free derivation), and every session, CLI invocation and golden
-group that does not pin a version resolves through it.
-Version 1 remains fully supported — pin ``stream_version=1`` to
-reproduce the historical streams; the ``*-sv1`` golden groups keep it
-under test.
 """
 
 from __future__ import annotations
@@ -62,17 +53,10 @@ from ..faults import FAILURE_MODES, FaultPlan
 from ..runtime.executor import EXECUTOR_KINDS
 
 __all__ = [
-    "DEFAULT_STREAM_VERSION",
     "POLICY_ENV_VARS",
     "POLICY_FILE_ENV",
     "ExecutionPolicy",
 ]
-
-#: The substream-derivation format used when nothing pins one explicitly.
-#: 2 is the alias-free derivation (length-prefixed, sentinel-terminated
-#: tags); the historical format remains available as ``stream_version=1``
-#: and stays pinned-and-tested via the ``*-sv1`` golden groups.
-DEFAULT_STREAM_VERSION = 2
 
 #: Environment variable consulted for the policy-file layer.
 POLICY_FILE_ENV = "REPRO_POLICY_FILE"
@@ -83,7 +67,6 @@ POLICY_ENV_VARS: dict[str, str] = {
     "executor": "REPRO_EXECUTOR",
     "max_workers": "REPRO_MAX_WORKERS",
     "tile_size": "REPRO_TILE_SIZE",
-    "stream_version": "REPRO_STREAM_VERSION",
     "scale": "REPRO_SCALE",
     "sampling_rate": "REPRO_SAMPLING_RATE",
     "seed": "REPRO_SEED",
@@ -124,7 +107,7 @@ def _parse_env(field: str, raw: str):
             ) from None
     if field == "faults":
         return raw.strip() or None
-    if field in ("stream_version", "seed", "max_retries"):
+    if field in ("seed", "max_retries"):
         try:
             return int(raw)
         except ValueError:
@@ -159,9 +142,6 @@ class ExecutionPolicy:
         Pool width (``None`` = the executor's default).
     tile_size:
         Repetitions resident per tile (``None`` = eager planning).
-    stream_version:
-        :func:`~repro.privacy.rng.derive_substream` format; defaults to
-        :data:`DEFAULT_STREAM_VERSION`.
     scale:
         Named compute preset (``smoke`` / ``default`` / ``full``); the
         :attr:`preset` property resolves it.  Call sites may still pass a
@@ -201,7 +181,6 @@ class ExecutionPolicy:
     executor: str = "serial"
     max_workers: int | None = None
     tile_size: int | None = None
-    stream_version: int = DEFAULT_STREAM_VERSION
     scale: str = "default"
     sampling_rate: float = 1.0
     seed: int = 0
@@ -226,10 +205,6 @@ class ExecutionPolicy:
                 raise ExperimentError(
                     f"{field} must be a positive integer or None, got {value!r}"
                 )
-        if self.stream_version not in (1, 2):
-            raise ExperimentError(
-                f"stream_version must be 1 or 2, got {self.stream_version!r}"
-            )
         if self.scale not in PRESETS:
             raise ExperimentError(
                 f"scale must be one of {sorted(PRESETS)}, got {self.scale!r}"

@@ -92,7 +92,6 @@ def run_figure(
     runtime: str,
     executor,
     tile_size: int | None,
-    stream_version: int,
     values: Sequence | None = None,
     prepared_cache=None,
 ) -> SweepResult:
@@ -122,7 +121,6 @@ def run_figure(
             runtime=runtime,
             executor=executor,
             tile_size=tile_size,
-            stream_version=stream_version,
             prepared_cache=prepared_cache,
         )
     return _accuracy_sweep(
@@ -136,6 +134,5 @@ def run_figure(
         runtime=runtime,
         executor=executor,
         tile_size=tile_size,
-        stream_version=stream_version,
         prepared_cache=prepared_cache,
     )

@@ -320,7 +320,6 @@ class Session:
                 runtime=self.policy.runtime,
                 executor=resolved,
                 tile_size=self.policy.tile_size,
-                stream_version=self.policy.stream_version,
                 prepared_cache=self._prepared_cache,
             )
 
@@ -351,7 +350,6 @@ class Session:
                 runtime=self.policy.runtime,
                 executor=resolved,
                 tile_size=self.policy.tile_size,
-                stream_version=self.policy.stream_version,
                 prepared_cache=self._prepared_cache,
             )
 
@@ -384,7 +382,6 @@ class Session:
                 runtime=self.policy.runtime,
                 executor=resolved,
                 tile_size=self.policy.tile_size,
-                stream_version=self.policy.stream_version,
                 prepared_cache=self._prepared_cache,
             )
 
@@ -424,7 +421,6 @@ class Session:
                 runtime=self.policy.runtime,
                 executor=resolved,
                 tile_size=self.policy.tile_size,
-                stream_version=self.policy.stream_version,
                 prepared_cache=self._prepared_cache,
             )
 
@@ -459,7 +455,6 @@ class Session:
                 runtime=self.policy.runtime,
                 executor=resolved,
                 tile_size=self.policy.tile_size,
-                stream_version=self.policy.stream_version,
                 values=values,
                 prepared_cache=self._prepared_cache,
             )

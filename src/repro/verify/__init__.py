@@ -21,7 +21,7 @@ package promotes both from scattered ad-hoc assertions to a subsystem:
 :mod:`repro.verify.golden`
     The golden-oracle registry: digest-checked snapshot fixtures pinning
     figure-pipeline outputs across the full ``{runtime, executor,
-    tile_size, stream_version}`` matrix.
+    tile_size}`` matrix.
 :mod:`repro.verify.cli`
     The ``python -m repro verify --tier {1,2,3}`` entry point and the
     tiered suite contract (tier 1: fast gate; tier 2: statistical audits;

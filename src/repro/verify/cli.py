@@ -13,7 +13,7 @@ Three tiers, by cost and depth:
     exceeds its nominal budget.
 ``--tier 3`` (minutes — the golden-oracle matrix)
     Every golden figure pipeline across the full ``{runtime, executor,
-    tile_size, stream_version}`` matrix: within-group bitwise equivalence
+    tile_size}`` matrix: within-group bitwise equivalence
     always gates; committed-digest pins gate when the environment
     fingerprint matches (``--regen-golden`` re-pins).
 

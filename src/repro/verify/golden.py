@@ -4,8 +4,8 @@ The runtime's headline guarantee — every execution path produces bitwise
 identical scores — was asserted pairwise and ad hoc inside individual
 tests.  This module turns it into one declarative conformance table:
 
-* a :class:`GoldenGroup` names a figure pipeline at a fixed seed and
-  stream version — everything that *defines* the result;
+* a :class:`GoldenGroup` names a figure pipeline at a fixed seed —
+  everything that *defines* the result;
 * a :class:`GoldenConfig` names an execution path — ``{runtime} x
   {executor} x {tile_size}`` — everything that must *not* change it;
 * :func:`verify_matrix` runs groups across configs, asserts every config
@@ -69,7 +69,7 @@ __all__ = [
     "verify_matrix",
 ]
 
-#: Golden workload scale: small enough that the full 60-case matrix runs in
+#: Golden workload scale: small enough that the full 36-case matrix runs in
 #: CI minutes, large enough that every runtime path (subsampling, folds,
 #: stacked solves, histogram baselines) executes meaningfully.
 GOLDEN_PRESET = ScalePreset(name="golden", max_records=600, folds=3, repetitions=2)
@@ -101,12 +101,11 @@ class GoldenConfig:
 
 @dataclass(frozen=True)
 class GoldenGroup:
-    """One figure pipeline at a pinned seed/stream version: one digest."""
+    """One figure pipeline at a pinned seed: one digest."""
 
     group_id: str
     figure: str
     task: str
-    stream_version: int
     seed: int
 
 
@@ -119,23 +118,18 @@ GOLDEN_CONFIGS: tuple[GoldenConfig, ...] = tuple(
     for tile in (None, 1)
 )
 
-#: The pipeline axis: two figures x both stream-derivation versions, plus
-#: figure 6's logistic panel, whose DPME/FP fits run the Newton solver on
-#: the synthetic data.
+#: The pipeline axis: figures 5 and 6 on the linear task, plus figure 6's
+#: logistic panel, whose DPME/FP fits run the Newton solver on the
+#: synthetic data.  The ``-sv2`` suffix is part of each group's store key.
 GOLDEN_GROUPS: tuple[GoldenGroup, ...] = tuple(
     GoldenGroup(
-        group_id=f"{figure}-{task}-sv{version}",
-        figure=figure,
-        task=task,
-        stream_version=version,
-        seed=seed,
+        group_id=f"{figure}-{task}-sv2", figure=figure, task=task, seed=seed
     )
-    for figure, task, seed, versions in (
-        ("figure5", "linear", 105, (1, 2)),
-        ("figure6", "linear", 106, (1, 2)),
-        ("figure6", "logistic", 106, (2,)),
+    for figure, task, seed in (
+        ("figure5", "linear", 105),
+        ("figure6", "linear", 106),
+        ("figure6", "logistic", 106),
     )
-    for version in versions
 )
 
 
@@ -149,7 +143,7 @@ def case_policy(
 ) -> ExecutionPolicy:
     """The exact :class:`ExecutionPolicy` of one matrix cell.
 
-    What *defines* the digest comes from the group (stream version,
+    What *defines* the digest comes from the group (figure, task,
     seed); what must *not* change it comes from the config (runtime,
     executor, tiling).  ``telemetry`` is an observation setting, never a
     digest input — the conformance tests run the same cell at ``"off"``
@@ -161,7 +155,6 @@ def case_policy(
         runtime=config.runtime,
         executor=config.executor,
         tile_size=config.tile_size,
-        stream_version=group.stream_version,
         seed=group.seed,
         telemetry=telemetry,
     )

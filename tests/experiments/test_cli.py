@@ -37,6 +37,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure4", "--scale", "galactic"])
 
+    @pytest.mark.parametrize(
+        "entry, argv",
+        [
+            ("repro", ["figure6", "--stream-version", "2"]),
+            ("check", ["--data-dir", "d", "--report", "r", "--stream-version", "2"]),
+        ],
+        ids=["repro", "serve-check"],
+    )
+    def test_stream_version_flag_is_gone(self, capsys, entry, argv):
+        # One stream derivation; a stale --stream-version fails loudly.
+        from repro.serve.check import main as check_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            (main if entry == "repro" else check_main)(argv)
+        assert exit_info.value.code == 2
+        assert "--stream-version" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_table2(self, capsys):

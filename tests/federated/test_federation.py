@@ -125,13 +125,13 @@ class TestMergeTreeInvariance:
 
 class TestShareMode:
     def test_shares_sum_to_central_sample_bitwise(self):
-        raw = central_raw_sample(SEED, len(EPSILONS), 3, 2)
-        shares = [noise_share(SEED, k, 3, len(EPSILONS), 3, 2) for k in range(3)]
+        raw = central_raw_sample(SEED, len(EPSILONS), 3)
+        shares = [noise_share(SEED, k, 3, len(EPSILONS), 3) for k in range(3)]
         assert combine_shares(shares).tobytes() == raw.tobytes()
 
     def test_single_share_is_not_the_sample(self):
-        raw = central_raw_sample(SEED, len(EPSILONS), 3, 2)
-        share = noise_share(SEED, 0, 3, len(EPSILONS), 3, 2)
+        raw = central_raw_sample(SEED, len(EPSILONS), 3)
+        share = noise_share(SEED, 0, 3, len(EPSILONS), 3)
         assert share.view(np.float64).tobytes() != raw.tobytes()
 
     def test_share_fit_matches_central_digest(self):
@@ -212,9 +212,9 @@ class TestSweepFromDraws:
         acc = MomentAccumulator(3, block_size=BLOCK).update(X, y)
         objective = objective_for("linear", 3)
         direct = EpsilonSweepEngine(objective, acc).sweep(
-            EPSILONS, rng=derive_substream(SEED, [0xFED01], 2)
+            EPSILONS, rng=derive_substream(SEED, [0xFED01])
         )
-        raw = central_raw_sample(SEED, len(EPSILONS), 3, 2)
+        raw = central_raw_sample(SEED, len(EPSILONS), 3)
         injected = EpsilonSweepEngine(objective, acc).sweep_from_draws(EPSILONS, raw)
         assert np.array_equal(direct.coefficients, injected.coefficients)
 

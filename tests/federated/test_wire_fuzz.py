@@ -125,40 +125,45 @@ class TestTruncation:
             decode_envelope(blobs[0] + b"\x00" * 16, spec.fingerprint())
 
 
-def _v1_envelope(blob):
-    """The same contribution as a version-1 party would have sent it.
+def _old_envelope(blob, version):
+    """The same contribution as a party speaking wire ``version`` sent it.
 
-    Version 1 headers carried a ``backend`` field that also fed the
-    schema fingerprint; the payload layout is unchanged.
+    Version 2 headers carried a ``stream_version`` field, and version 1
+    headers a ``backend`` field as well; both fed the schema fingerprint.
+    The payload layout is unchanged.
     """
     header_line, payload = blob.split(b"\n", 1)
     header = json.loads(header_line)
     schema = {
         key: header[key]
-        for key in ("task", "dim", "block_size", "stream_version", "noise_mode", "parties")
+        for key in ("task", "dim", "block_size", "noise_mode", "parties")
     }
-    schema["backend"] = "numpy"
+    legacy = {"stream_version": 2}
+    if version == 1:
+        legacy["backend"] = "numpy"
+    schema.update(legacy)
     header.update(
-        wire=1,
-        backend="numpy",
+        legacy,
+        wire=version,
         fingerprint=hashlib.sha256(json.dumps(schema, sort_keys=True).encode()).hexdigest(),
     )
     return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
 
 
 class TestVersionSkew:
-    @pytest.mark.parametrize("version", [0, 1, 99, "2", None])
+    @pytest.mark.parametrize("version", [0, 1, 2, 99, "3", None])
     def test_unsupported_wire_versions(self, federation, version):
         _, _, _, blobs = federation
         skewed = _tamper_header(blobs[0], wire=version)
         with pytest.raises(VersionMismatchError):
             decode_envelope(skewed)
 
-    def test_v1_envelope_refused_without_state_change(self, federation):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_envelope_refused_without_state_change(self, federation, version):
         spec, X, y, blobs = federation
         coordinator = FederatedCoordinator(spec)
         with pytest.raises(VersionMismatchError):
-            coordinator.submit(_v1_envelope(blobs[0]))
+            coordinator.submit(_old_envelope(blobs[0], version))
         assert coordinator.received == ()
         assert coordinator.n_rows == 0
         for blob in blobs:

@@ -80,39 +80,27 @@ class TestSubstreamIndependence:
                     )
                     draws[value] = (name, rep, fold)
 
-    def test_rep_streams_disjoint_from_nonzero_fold_streams(self):
-        """The (key, rep) data stream never equals a fold >= 1 cell stream."""
-        key = algorithm_stream_key("FM")
-        rep_draws = {
-            int(derive_substream(0, [key, rep]).integers(0, 2**63))
-            for rep in range(FULL.repetitions)
-        }
-        cell_draws = {
-            int(derive_substream(0, [key, rep, fold]).integers(0, 2**63))
-            for rep in range(FULL.repetitions)
-            for fold in range(1, FULL.folds)
-        }
-        assert not rep_draws & cell_draws
-
-    def test_known_fold0_aliasing_is_pinned(self):
-        """Documented quirk: the rep stream IS the fold-0 cell stream.
+    def test_rep_streams_disjoint_from_fold_streams(self):
+        """No (key, rep) data stream equals any cell stream, fold 0 included.
 
         ``numpy.random.SeedSequence`` zero-pads entropy to its 4-word pool,
-        so ``[seed, key, rep]`` and ``[seed, key, rep, 0]`` seed identical
-        streams whenever the tag fits inside the pool.  The harness has
-        always derived its repetition data stream and its fold-0 noise
-        stream from exactly those two tags — the fold-0 noise bits replay
-        the bits that drew the subsample and shuffle.  Marginal noise
-        distributions are unaffected, but the streams are not independent.
-
-        Pinned deliberately: "fixing" the derivation reshuffles every noise
-        stream ever produced by the harness, which must be an explicit,
-        versioned decision (see ROADMAP), not a silent side effect.
+        so a derivation of ``[seed, *tag]`` alone would make the ``[key,
+        rep]`` data stream and the ``[key, rep, 0]`` fold-0 noise stream
+        one stream: the fold-0 noise would replay the bits that drew the
+        subsample and the shuffle.
         """
-        key = algorithm_stream_key("FM")
-        a = derive_substream(0, [key, 3]).integers(0, 2**63)
-        b = derive_substream(0, [key, 3, 0]).integers(0, 2**63)
-        assert a == b
+        keys = [algorithm_stream_key(name) for name in ALGORITHMS]
+        reps = range(FULL.repetitions)
+        cell_draws = {
+            int(derive_substream(0, [key, rep, fold]).integers(0, 2**63))
+            for key in keys
+            for rep in reps
+            for fold in range(FULL.folds)
+        }
+        for key in keys:
+            for rep in reps:
+                gen = derive_substream(0, [key, rep])
+                assert int(gen.integers(0, 2**63)) not in cell_draws, (key, rep)
 
     def test_same_tag_reproduces(self):
         key = algorithm_stream_key("FM")
@@ -127,65 +115,24 @@ class TestSubstreamIndependence:
         assert a != b
 
 
-class TestStreamVersions:
-    """Both derivation formats are pinned; version 2 kills the alias.
+class TestDerivationFormat:
+    """The derivation appends ``[len(tag), 0x5D5EC0DE]`` to the entropy."""
 
-    Version 1 is the historical derivation behind every published stream;
-    version 2 appends a length/domain-separator word so trailing-zero tags
-    stop aliasing.  Each version's streams must never move — the pins below
-    fail loudly if either derivation changes.
-    """
-
-    def test_version1_is_the_default_and_unchanged(self):
-        key = algorithm_stream_key("FM")
-        default = derive_substream(0, [key, 3]).integers(0, 2**63)
-        explicit = derive_substream(0, [key, 3], stream_version=1).integers(0, 2**63)
-        assert default == explicit
-
-    def test_version2_breaks_the_fold0_alias(self):
-        """The quirk version 2 exists to fix: rep stream != fold-0 stream."""
-        key = algorithm_stream_key("FM")
-        a = derive_substream(0, [key, 3], stream_version=2).integers(0, 2**63)
-        b = derive_substream(0, [key, 3, 0], stream_version=2).integers(0, 2**63)
+    @pytest.mark.parametrize(
+        "tag",
+        [[algorithm_stream_key("FM"), 3], [1, 2], [5], [0]],
+        ids=lambda tag: "-".join(map(str, tag)),
+    )
+    def test_trailing_zero_tags_do_not_alias(self, tag):
+        """``[*tag]`` and ``[*tag, 0]`` are different streams."""
+        a = derive_substream(0, tag).integers(0, 2**63)
+        b = derive_substream(0, [*tag, 0]).integers(0, 2**63)
         assert a != b
 
-    def test_version2_no_collisions_across_cells(self):
-        """Version 2 keeps the cross-cell independence version 1 had."""
-        draws = {}
-        for name in ALGORITHMS:
-            key = algorithm_stream_key(name)
-            for rep in range(FULL.repetitions):
-                for fold in range(FULL.folds):
-                    gen = derive_substream(0, [key, rep, fold], stream_version=2)
-                    value = int(gen.integers(0, 2**63))
-                    assert value not in draws, (name, rep, fold)
-                    draws[value] = (name, rep, fold)
-        # ... and adds the rep-stream disjointness version 1 lacked at fold 0.
-        for name in ALGORITHMS:
-            key = algorithm_stream_key(name)
-            for rep in range(FULL.repetitions):
-                gen = derive_substream(0, [key, rep], stream_version=2)
-                assert int(gen.integers(0, 2**63)) not in draws, (name, rep)
+    def test_first_draw_pinned(self):
+        """The first draw MUST NOT change: it moves every noise stream."""
+        assert derive_substream(0, [1, 2]).integers(0, 2**63) == 4791994034454347323
 
-    def test_both_versions_pinned(self):
-        """First draws of both derivations MUST NOT change.
-
-        A version-1 drift silently reshuffles every published stream; a
-        version-2 drift reshuffles anything opted into the fix.  Either
-        must be an explicit new stream_version, not an edit.
-        """
-        v1 = derive_substream(0, [1, 2], stream_version=1).integers(0, 2**63)
-        v2 = derive_substream(0, [1, 2], stream_version=2).integers(0, 2**63)
-        assert v1 == 8132279761646769457
-        assert v2 == 4791994034454347323
-
-    def test_versions_are_reproducible_and_distinct(self):
-        a = derive_substream(7, [5, 6], stream_version=2).laplace(0.0, 1.0, size=4)
-        b = derive_substream(7, [5, 6], stream_version=2).laplace(0.0, 1.0, size=4)
-        np.testing.assert_array_equal(a, b)
-        c = derive_substream(7, [5, 6], stream_version=1).laplace(0.0, 1.0, size=4)
-        assert not np.array_equal(a, c)
-
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError):
-            derive_substream(0, [1], stream_version=3)
+    def test_version_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            derive_substream(0, [1], stream_version=2)

@@ -69,7 +69,7 @@ def two_blas_threads():
 def _dpme_plan(us, tiny_preset):
     return plan_cells(
         "DPME", us, "linear", dims=5, epsilons=[1.0], preset=tiny_preset,
-        seed=3, stream_version=2,
+        seed=3,
     )
 
 

@@ -43,7 +43,7 @@ def _sweep_groups(us, task, preset, algorithms=None, budgets=PRIVACY_BUDGETS):
     return [
         _plan_algorithms(
             algorithms or PANELS[task], us, task, dims=5, epsilon=epsilon,
-            preset=preset, seed=5 + 1000 * i, tile_size=1, stream_version=2,
+            preset=preset, seed=5 + 1000 * i, tile_size=1,
             prepared_cache=cache,
         )
         for i, epsilon in enumerate(budgets)

@@ -288,25 +288,25 @@ class TestPreparedDataCache:
         assert ref_count_key not in cache._moments
 
 
-class TestStreamVersionPlumbing:
-    def test_version2_reshuffles_but_stays_tile_invariant(self, us):
+class TestPlanStreams:
+    @pytest.mark.parametrize("shape", ["eager", "tiled"])
+    def test_default_plans_draw_the_session_streams(self, us, shape):
+        """A plan built without any stream argument == a default Session."""
         preset = tiny_preset(reps=2)
-        v1 = percell_reference(us, "FM", "linear", (0.8,), preset, seed=3)
-        v2_oracle = percell_reference(
-            us, "FM", "linear", (0.8,), preset, seed=3, stream_version=2
+        plan = (plan_cells if shape == "eager" else plan_cells_tiled)(
+            "FM", us, "linear", dims=5, epsilons=(0.8,), preset=preset, seed=3
         )
-        assert v1.scores != v2_oracle.scores  # every noise stream moved
-        tiled = plan_cells_tiled(
-            "FM", us, "linear", dims=5, epsilons=(0.8,), preset=preset,
-            seed=3, tile_size=1, stream_version=2,
+        scores = run_plan(plan, mode="percell").scores[0.8]
+        session = Session(ExecutionPolicy()).evaluate(
+            "FM", us, "linear", dims=5, epsilon=0.8, preset=preset, seed=3
         )
-        assert run_plan(tiled, mode="batched").scores == v2_oracle.scores
+        assert session.mean_score == float(np.mean(scores))
+        assert session.std_score == float(np.std(scores))
 
-    def test_plan_substream_uses_the_plan_version(self, us):
+    def test_plan_substream_is_the_fold_tag_stream(self, us):
         plan = plan_cells(
-            "FM", us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE,
-            seed=7, stream_version=2,
+            "FM", us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=7
         )
         fold = plan.folds[0]
-        expected = derive_substream(7, list(fold.stream_tag), stream_version=2)
+        expected = derive_substream(7, list(fold.stream_tag))
         assert plan.substream(fold).integers(0, 2**63) == expected.integers(0, 2**63)

@@ -21,7 +21,6 @@ SIX_BUDGETS = (0.01, 0.05, 0.2, 0.8, 1.6, 3.2)
 #: Request seeds whose ``eps=0.01`` draw trims an eigenvalue on these rows:
 #: 146 at d=1, 5 at d=13 (see ``test_the_smallest_budget_trims``).
 SEEDS = (5, 146)
-STREAM_VERSION = 2
 
 
 def _rows(task, dims, n=200, batch=0):
@@ -44,7 +43,7 @@ def _reference(task, dims, form, epsilons, seed, site=None):
     points = [
         EpsilonSweepEngine(objective, form).sweep(
             [eps],
-            rng=derive_substream(seed, [*prefix, i], stream_version=STREAM_VERSION),
+            rng=derive_substream(seed, [*prefix, i]),
         ).points[0]
         for i, eps in enumerate(epsilons)
     ]
@@ -60,9 +59,7 @@ class TestStackedEqualsPerEpsilonLoop:
     def test_bytes_equal(self, task, dims, epsilons, partition, seed):
         form = _form(task, dims)
         site = _partition_site(partition)
-        stacked = _release(
-            task, dims, form, epsilons, seed, STREAM_VERSION, partition_site=site
-        )
+        stacked = _release(task, dims, form, epsilons, seed, partition_site=site)
         expected, _ = _reference(task, dims, form, epsilons, seed, site)
         assert stacked.shape == (len(epsilons), dims)
         assert stacked.tobytes() == expected.tobytes()
@@ -76,10 +73,9 @@ class TestStackedEqualsPerEpsilonLoop:
 
     def test_partitions_draw_their_own_noise(self):
         form = _form("linear", 13)
-        plain = _release("linear", 13, form, SIX_BUDGETS, 17, STREAM_VERSION)
+        plain = _release("linear", 13, form, SIX_BUDGETS, 17)
         east = _release(
-            "linear", 13, form, SIX_BUDGETS, 17, STREAM_VERSION,
-            partition_site=_partition_site("east"),
+            "linear", 13, form, SIX_BUDGETS, 17, partition_site=_partition_site("east")
         )
         assert not np.array_equal(plain, east)
 

@@ -7,12 +7,7 @@ import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments.config import DEFAULT, FULL, SMOKE
-from repro.session import (
-    DEFAULT_STREAM_VERSION,
-    POLICY_ENV_VARS,
-    POLICY_FILE_ENV,
-    ExecutionPolicy,
-)
+from repro.session import POLICY_ENV_VARS, POLICY_FILE_ENV, ExecutionPolicy
 
 
 class TestDefaultsAndValidation:
@@ -22,7 +17,6 @@ class TestDefaultsAndValidation:
         assert policy.executor == "serial"
         assert policy.max_workers is None
         assert policy.tile_size is None
-        assert policy.stream_version == DEFAULT_STREAM_VERSION
         assert policy.scale == "default"
         assert policy.sampling_rate == 1.0
         assert policy.seed == 0
@@ -36,7 +30,6 @@ class TestDefaultsAndValidation:
             ("max_workers", -2),
             ("tile_size", 0),
             ("tile_size", 1.5),
-            ("stream_version", 3),
             ("scale", "galactic"),
             ("sampling_rate", 0.0),
             ("sampling_rate", 1.5),
@@ -77,7 +70,6 @@ class TestSerialization:
             executor="process",
             max_workers=3,
             tile_size=2,
-            stream_version=2,
             scale="smoke",
             sampling_rate=0.5,
             seed=42,
@@ -99,10 +91,14 @@ class TestSerialization:
             ExecutionPolicy.from_json("{not json")
 
     @pytest.mark.parametrize("layer", ["dict", "file", "explicit"])
-    def test_legacy_shards_field_rejected(self, layer, tmp_path):
-        """Records written before the sharded engine path was removed carry
-        ``shards``; every layer refuses them instead of dropping it."""
-        legacy = {"runtime": "batched", "shards": 1}
+    @pytest.mark.parametrize(
+        "field, value", [("shards", 1), ("stream_version", 2)],
+        ids=["shards", "stream_version"],
+    )
+    def test_legacy_field_rejected(self, field, value, layer, tmp_path):
+        """Records written before a field was removed still carry it; every
+        layer refuses them instead of dropping it."""
+        legacy = {"runtime": "batched", field: value}
         with pytest.raises(ExperimentError, match="unknown .*field"):
             if layer == "dict":
                 ExecutionPolicy.from_dict(legacy)
@@ -162,9 +158,9 @@ class TestLayeredResolution:
 
     def test_file_from_env_variable(self, tmp_path):
         policy_file = tmp_path / "policy.json"
-        policy_file.write_text('{"stream_version": 2}')
+        policy_file.write_text('{"tile_size": 2}')
         policy = ExecutionPolicy.resolve(env={POLICY_FILE_ENV: str(policy_file)})
-        assert policy.stream_version == 2
+        assert policy.tile_size == 2
 
     def test_base_is_lowest_layer(self):
         base = ExecutionPolicy(scale="smoke")
@@ -221,6 +217,6 @@ class TestLayeredResolution:
 
     def test_os_environ_is_read_by_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        monkeypatch.setenv("REPRO_STREAM_VERSION", "2")
+        monkeypatch.setenv("REPRO_TILE_SIZE", "2")
         policy = ExecutionPolicy.resolve()
-        assert policy.executor == "thread" and policy.stream_version == 2
+        assert policy.executor == "thread" and policy.tile_size == 2

@@ -3,7 +3,7 @@
 A Session holds a persistent prepared-data cache and executor pool across
 calls; neither may move a result.  Every entry point run in a *warm*
 session (cache populated by an identical earlier call) must equal the same
-call in a fresh session — at both stream versions — and a session-held
+call in a fresh session — at two seeds — and a session-held
 pool must equal a per-call executor instance.  ``Session.figure`` must
 equal :func:`repro.session.run_figure` given the policy's fields
 explicitly.  Wall-clock fields (``mean_fit_seconds``) are measurements,
@@ -14,12 +14,7 @@ import pytest
 
 from repro.experiments.config import ScalePreset
 from repro.runtime import PooledProcessExecutor, PooledThreadExecutor
-from repro.session import (
-    DEFAULT_STREAM_VERSION,
-    ExecutionPolicy,
-    Session,
-    run_figure,
-)
+from repro.session import ExecutionPolicy, Session, run_figure
 
 #: No subsampling, so every call's prepared arrays land in (and are then
 #: served from) the session cache.
@@ -62,21 +57,21 @@ def _warm_and_fresh(policy, call):
         return again, call(fresh)
 
 
-@pytest.mark.parametrize("stream_version", [1, 2])
+@pytest.mark.parametrize("seed", [11, 23])
 class TestBitwiseEquivalence:
-    def test_evaluate_algorithm(self, tiny_dataset, stream_version):
+    def test_evaluate_algorithm(self, tiny_dataset, seed):
         warm, fresh = _warm_and_fresh(
-            ExecutionPolicy(stream_version=stream_version, seed=11),
+            ExecutionPolicy(seed=seed),
             lambda s: s.evaluate("FM", tiny_dataset, "linear", 5, 1.0, preset=IDENTITY),
         )
         assert _scores(warm) == _scores(fresh)
 
-    def test_evaluate_algorithms(self, tiny_dataset, stream_version):
+    def test_evaluate_algorithms(self, tiny_dataset, seed):
         names = ["FM", "DPME", "NoPrivacy"]
         warm, fresh = _warm_and_fresh(
-            ExecutionPolicy(stream_version=stream_version),
+            ExecutionPolicy(),
             lambda s: s.evaluate_panel(
-                names, tiny_dataset, "linear", 5, 0.8, preset=IDENTITY, seed=3
+                names, tiny_dataset, "linear", 5, 0.8, preset=IDENTITY, seed=seed
             ),
         )
         assert {k: _scores(v) for k, v in warm.items()} == {
@@ -84,23 +79,23 @@ class TestBitwiseEquivalence:
         }
 
     @pytest.mark.parametrize("runtime", ["batched", "percell"])
-    def test_evaluate_fm_budget_sweep(self, tiny_dataset, stream_version, runtime):
+    def test_evaluate_fm_budget_sweep(self, tiny_dataset, runtime, seed):
         warm, fresh = _warm_and_fresh(
-            ExecutionPolicy(runtime=runtime, stream_version=stream_version),
+            ExecutionPolicy(runtime=runtime),
             lambda s: s.budget_sweep(
-                tiny_dataset, "linear", 5, [0.5, 2.0], preset=IDENTITY, seed=5
+                tiny_dataset, "linear", 5, [0.5, 2.0], preset=IDENTITY, seed=seed
             ),
         )
         assert {e: _scores(r) for e, r in warm.items()} == {
             e: _scores(r) for e, r in fresh.items()
         }
 
-    def test_accuracy_sweep(self, tiny_dataset, stream_version):
+    def test_accuracy_sweep(self, tiny_dataset, seed):
         warm, fresh = _warm_and_fresh(
-            ExecutionPolicy(stream_version=stream_version),
+            ExecutionPolicy(),
             lambda s: s.sweep(
                 tiny_dataset, "linear", "dimensionality", (5, 8), "figure4",
-                preset=IDENTITY, seed=2,
+                preset=IDENTITY, seed=seed,
             ),
         )
         assert _sweep_scores(warm) == _sweep_scores(fresh)
@@ -158,7 +153,7 @@ class TestFigureDispatch:
             direct = run_figure(
                 name, tiny_dataset, task, preset=preset, seed=1,
                 runtime="batched", executor="serial", tile_size=None,
-                stream_version=DEFAULT_STREAM_VERSION, values=values,
+                values=values,
             )
             new = session.figure(
                 name, tiny_dataset, task, preset=preset, seed=1, values=values

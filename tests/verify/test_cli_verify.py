@@ -26,13 +26,13 @@ class TestParser:
         args = build_parser().parse_args(
             [
                 "verify", "--tier", "3",
-                "--golden-groups", "figure5-linear-sv1",
+                "--golden-groups", "figure5-linear-sv2",
                 "--golden-configs", "batched-serial-tile1",
                 "--golden-store", "/tmp/x.json",
                 "--regen-golden",
             ]
         )
-        assert args.golden_groups == "figure5-linear-sv1"
+        assert args.golden_groups == "figure5-linear-sv2"
         assert args.regen_golden
 
 
@@ -104,7 +104,7 @@ class TestTier3:
             [
                 "verify", "--tier", "3", "--regen-golden",
                 "--golden-store", str(store),
-                "--golden-groups", "figure5-linear-sv1",
+                "--golden-groups", "figure5-linear-sv2",
                 "--golden-configs", "batched-serial-tiledefault,batched-process-tile1",
             ]
         )
@@ -115,7 +115,7 @@ class TestTier3:
             [
                 "verify", "--tier", "3",
                 "--golden-store", str(store),
-                "--golden-groups", "figure5-linear-sv1",
+                "--golden-groups", "figure5-linear-sv2",
                 "--golden-configs", "batched-serial-tiledefault",
             ]
         )
@@ -125,12 +125,12 @@ class TestTier3:
         from repro.verify.golden import save_store
 
         store = tmp_path / "golden.json"
-        save_store({"figure5-linear-sv1": "a" * 64}, store)
+        save_store({"figure5-linear-sv2": "a" * 64}, store)
         code = main(
             [
                 "verify", "--tier", "3",
                 "--golden-store", str(store),
-                "--golden-groups", "figure5-linear-sv1",
+                "--golden-groups", "figure5-linear-sv2",
                 "--golden-configs", "batched-serial-tiledefault",
             ]
         )

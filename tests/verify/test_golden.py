@@ -2,11 +2,10 @@
 
 Two layers, by cost:
 
-* tier-1 smoke — the store is well-formed, one group (the
-  stream-version-2 figure-5 pipeline, so the v2 path runs end to end in
-  the default suite) is bitwise-equivalent across a representative slice
-  of execution configs, and the figure-6 logistic panel (the DPME/FP
-  Newton fits) is equivalent on both runtimes;
+* tier-1 smoke — the store is well-formed, one group (the figure-5
+  pipeline) is bitwise-equivalent across a representative slice of
+  execution configs, and the figure-6 logistic panel (the DPME/FP Newton
+  fits) is equivalent on both runtimes;
 * tier-3 matrix — every group across every config, strict against the
   committed digests (opt-in: ``--run-tier3`` / ``REPRO_TIER3=1``).
 """
@@ -76,13 +75,11 @@ class TestStoreWellFormed:
 
     def test_matrix_dimensions(self):
         """The acceptance floor: >= 2 figures x {percell, batched} x
-        {serial, thread, process} x {tile 1, default} x {sv 1, 2}, and
-        both tasks."""
+        {serial, thread, process} x {tile 1, default}, and both tasks."""
         figures = {g.figure for g in GOLDEN_GROUPS}
-        versions = {g.stream_version for g in GOLDEN_GROUPS}
-        assert len(GOLDEN_GROUPS) == 5
+        assert len(GOLDEN_GROUPS) == 3
+        assert len(GOLDEN_GROUPS) * len(GOLDEN_CONFIGS) == 36
         assert len(figures) >= 2
-        assert versions == {1, 2}
         assert {g.task for g in GOLDEN_GROUPS} == {"linear", "logistic"}
         assert {c.runtime for c in GOLDEN_CONFIGS} == {"batched", "percell"}
         assert {c.executor for c in GOLDEN_CONFIGS} == {"serial", "thread", "process"}
@@ -115,28 +112,16 @@ class TestDigesting:
         result = run_golden_case(group, config)
         assert digest_sweep_result(result) == digest_sweep_result(result)
 
-    def test_digest_separates_stream_versions(self):
-        """sv1 and sv2 reshuffle every noise stream: digests must differ."""
-        config = GOLDEN_CONFIGS[0]
-        sv1 = next(g for g in GOLDEN_GROUPS if g.group_id == "figure5-linear-sv1")
-        sv2 = next(g for g in GOLDEN_GROUPS if g.group_id == "figure5-linear-sv2")
-        d1 = digest_sweep_result(run_golden_case(sv1, config))
-        d2 = digest_sweep_result(run_golden_case(sv2, config))
-        assert d1 != d2
-
     def test_telemetry_never_changes_digests(self):
         """The observability invariant: tracing a case is digest-neutral."""
         config = GOLDEN_CONFIGS[0]
-        for group_id in ("figure5-linear-sv1", "figure5-linear-sv2"):
-            group = next(g for g in GOLDEN_GROUPS if g.group_id == group_id)
-            off = digest_sweep_result(run_golden_case(group, config))
-            trace = digest_sweep_result(
-                run_golden_case(group, config, telemetry="trace")
-            )
-            summary = digest_sweep_result(
-                run_golden_case(group, config, telemetry="summary")
-            )
-            assert off == trace == summary
+        group = next(g for g in GOLDEN_GROUPS if g.group_id == "figure5-linear-sv2")
+        off = digest_sweep_result(run_golden_case(group, config))
+        trace = digest_sweep_result(run_golden_case(group, config, telemetry="trace"))
+        summary = digest_sweep_result(
+            run_golden_case(group, config, telemetry="summary")
+        )
+        assert off == trace == summary
 
 
 class TestSmokeMatrix:
@@ -164,14 +149,14 @@ class TestSmokeMatrix:
     def test_regen_roundtrip(self, tmp_path):
         store_path = tmp_path / "golden.json"
         regen = verify_matrix(
-            group_ids=["figure5-linear-sv1"],
+            group_ids=["figure5-linear-sv2"],
             config_ids=["batched-serial-tiledefault", "percell-serial-tiledefault"],
             store_path=store_path,
             regen=True,
         )
         assert regen.passed
         check = verify_matrix(
-            group_ids=["figure5-linear-sv1"],
+            group_ids=["figure5-linear-sv2"],
             config_ids=["batched-serial-tiledefault"],
             store_path=store_path,
         )
@@ -181,16 +166,16 @@ class TestSmokeMatrix:
 
     def test_partial_regen_preserves_other_pins(self, tmp_path):
         store_path = tmp_path / "golden.json"
-        save_store({"figure6-linear-sv1": "0" * 64}, store_path)
+        save_store({"figure6-linear-sv2": "0" * 64}, store_path)
         verify_matrix(
-            group_ids=["figure5-linear-sv1"],
+            group_ids=["figure5-linear-sv2"],
             config_ids=["batched-serial-tiledefault"],
             store_path=store_path,
             regen=True,
         )
         store = load_store(store_path)
-        assert set(store["groups"]) == {"figure5-linear-sv1", "figure6-linear-sv1"}
-        assert store["groups"]["figure6-linear-sv1"]["digest"] == "0" * 64
+        assert set(store["groups"]) == {"figure5-linear-sv2", "figure6-linear-sv2"}
+        assert store["groups"]["figure6-linear-sv2"]["digest"] == "0" * 64
 
     def test_partial_regen_refused_across_environments(self, tmp_path):
         """Re-pinning a subset must not relabel another machine's pins
@@ -204,13 +189,13 @@ class TestSmokeMatrix:
                         "python": "0.0", "numpy": "0",
                         "machine": "elsewhere", "system": "elsewhere",
                     },
-                    "groups": {"figure6-linear-sv1": {"digest": "0" * 64}},
+                    "groups": {"figure6-linear-sv2": {"digest": "0" * 64}},
                 }
             )
         )
         with pytest.raises(ExperimentError, match="partial re-pin"):
             verify_matrix(
-                group_ids=["figure5-linear-sv1"],
+                group_ids=["figure5-linear-sv2"],
                 config_ids=["batched-serial-tiledefault"],
                 store_path=store_path,
                 regen=True,
@@ -218,9 +203,9 @@ class TestSmokeMatrix:
 
     def test_stale_pin_detected(self, tmp_path):
         store_path = tmp_path / "golden.json"
-        save_store({"figure5-linear-sv1": "f" * 64}, store_path)
+        save_store({"figure5-linear-sv2": "f" * 64}, store_path)
         report = verify_matrix(
-            group_ids=["figure5-linear-sv1"],
+            group_ids=["figure5-linear-sv2"],
             config_ids=["batched-serial-tiledefault"],
             store_path=store_path,
         )
