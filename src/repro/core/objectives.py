@@ -216,6 +216,10 @@ class LinearRegressionObjective(RegressionObjective):
         y = np.asarray(y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
             raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
+        return self._quadratic_coefficients(X, y)
+
+    def _quadratic_coefficients(self, X: np.ndarray, y: np.ndarray) -> QuadraticForm:
+        """The aggregation arithmetic alone, on checked float64 ``X`` and 1-d ``y``."""
         return QuadraticForm(
             M=X.T @ X, alpha=scaled_cross_moment(-2.0, X, y), beta=float(y @ y)
         )
@@ -337,6 +341,10 @@ class LogisticRegressionObjective(RegressionObjective):
         y = np.asarray(y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
             raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
+        return self._quadratic_coefficients(X, y)
+
+    def _quadratic_coefficients(self, X: np.ndarray, y: np.ndarray) -> QuadraticForm:
+        """The order-2 arithmetic alone, on checked float64 ``X`` and 1-d ``y``."""
         a0, a1, a2 = self._coeffs
         n = X.shape[0]
         return QuadraticForm(

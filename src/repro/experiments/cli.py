@@ -763,25 +763,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         # REPRO_POLICY_FILE > the CLI's smoke-scale base defaults.
         try:
             telemetry = _resolve_telemetry(args)
+            policy = ExecutionPolicy.resolve(
+                explicit={
+                    "runtime": args.runtime,
+                    "executor": args.executor,
+                    "max_workers": args.max_workers,
+                    "tile_size": args.tile_size,
+                    "scale": args.scale,
+                    "seed": args.seed,
+                    "telemetry": telemetry,
+                    "faults": args.faults,
+                    "max_retries": args.max_retries,
+                    "tile_timeout": args.tile_timeout,
+                    "failure_mode": args.failure_mode,
+                },
+                base=ExecutionPolicy(scale="smoke"),
+            )
         except ExperimentError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        policy = ExecutionPolicy.resolve(
-            explicit={
-                "runtime": args.runtime,
-                "executor": args.executor,
-                "max_workers": args.max_workers,
-                "tile_size": args.tile_size,
-                "scale": args.scale,
-                "seed": args.seed,
-                "telemetry": telemetry,
-                "faults": args.faults,
-                "max_retries": args.max_retries,
-                "tile_timeout": args.tile_timeout,
-                "failure_mode": args.failure_mode,
-                },
-            base=ExecutionPolicy(scale="smoke"),
-        )
         spec = figure_spec(args.command)
         with Session(policy) as session:
             dataset = session.dataset(args.country)

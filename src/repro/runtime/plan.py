@@ -344,12 +344,17 @@ class PlannedFold:
         return int(self.train_idx.shape[0])
 
     def train_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize ``(X_train, y_train)`` — a fresh fancy-index copy."""
-        return self.X[self.train_idx], self.y[self.train_idx]
+        """Materialize ``(X_train, y_train)`` — a fresh, writable C-order copy.
+
+        ``np.take`` copies the same bytes as ``X[idx]``, faster.  No
+        ``out=``: under the default ``mode="raise"`` numpy gathers into a
+        temporary and copies it over, which costs more than it saves.
+        """
+        return np.take(self.X, self.train_idx, axis=0), np.take(self.y, self.train_idx)
 
     def test_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize ``(X_test, y_test)``."""
-        return self.X[self.test_idx], self.y[self.test_idx]
+        """Materialize ``(X_test, y_test)``, like :meth:`train_arrays`."""
+        return np.take(self.X, self.test_idx, axis=0), np.take(self.y, self.test_idx)
 
 
 @dataclass(frozen=True)

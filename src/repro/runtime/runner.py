@@ -134,7 +134,9 @@ def _objective_gate(objective: RegressionObjective) -> str:
     return f"{type(objective).__name__}.validate:{objective.dim}"
 
 
-def _objective_for_plan(plan: CellPlan) -> RegressionObjective:
+def _objective_for_plan(
+    plan: CellPlan,
+) -> LinearRegressionObjective | LogisticRegressionObjective:
     """The degree-2 objective an FM/Truncated cell of this plan builds."""
     kwargs = plan.algorithm_kwargs
     if plan.task == "linear":
@@ -160,12 +162,27 @@ def _moment_signature(plan: CellPlan, kind: str) -> str:
     )
 
 
-def _fold_quadratic_form(plan: CellPlan, objective: RegressionObjective, fold):
-    """One fold's degree-2 aggregation, shared through the plan's cache."""
+def _fold_quadratic_form(
+    plan: CellPlan,
+    objective: LinearRegressionObjective | LogisticRegressionObjective,
+    fold,
+):
+    """One fold's degree-2 aggregation, shared through the plan's cache.
+
+    The build calls the objective's arithmetic without
+    ``aggregate_quadratic``'s checks.  That is safe: both callers
+    (:func:`_prepare_fm`, :func:`_prepare_truncated`) first run
+    ``objective.validate`` on ``fold.X, fold.y`` through
+    :func:`_validate_plan_inputs` (memoized only for read-only arrays), and
+    rows gathered from a validated float64 array are themselves finite,
+    ``dim`` wide and as long as their targets.  Skipping the re-check saves
+    a full scan of the training split per fold; the arithmetic, and so
+    every bit, is the public method's.
+    """
 
     def build():
         X_train, y_train = fold.train_arrays()
-        return objective.aggregate_quadratic(X_train, y_train)
+        return objective._quadratic_coefficients(X_train, y_train)
 
     if plan.cache is None:
         return build()

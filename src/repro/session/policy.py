@@ -36,6 +36,10 @@ Environment variables (all optional)::
     REPRO_TILE_TIMEOUT    positive float seconds, or "none" (no timeout)
     REPRO_FAILURE_MODE    raise | fallback
     REPRO_POLICY_FILE     path to a JSON policy file (the file layer)
+
+The variables of removed fields (``REPRO_BACKEND``, ``REPRO_SHARDS``,
+``REPRO_STREAM_VERSION``) are refused with an :class:`ExperimentError`
+that names them.
 """
 
 from __future__ import annotations
@@ -76,6 +80,10 @@ POLICY_ENV_VARS: dict[str, str] = {
     "tile_timeout": "REPRO_TILE_TIMEOUT",
     "failure_mode": "REPRO_FAILURE_MODE",
 }
+
+#: Variables of removed fields.  A stale one is refused, as the same field
+#: in a policy file or in explicit values is, rather than silently ignored.
+_REMOVED_ENV_VARS = ("REPRO_BACKEND", "REPRO_SHARDS", "REPRO_STREAM_VERSION")
 
 _RUNTIMES = ("batched", "percell")
 _TELEMETRY = ("off", "summary", "trace")
@@ -290,7 +298,8 @@ class ExecutionPolicy:
             class defaults when omitted.
         env:
             Environment mapping (default ``os.environ``); only the
-            ``REPRO_*`` variables in :data:`POLICY_ENV_VARS` are read.
+            ``REPRO_*`` variables in :data:`POLICY_ENV_VARS` are read, and
+            one of a removed field is refused.
         policy_file:
             JSON file of field values; default: the ``REPRO_POLICY_FILE``
             environment variable, if set.
@@ -301,6 +310,12 @@ class ExecutionPolicy:
             policy_file = environ.get(POLICY_FILE_ENV) or None
         if policy_file is not None:
             values.update(cls._load_policy_file(policy_file))
+        stale = [variable for variable in _REMOVED_ENV_VARS if variable in environ]
+        if stale:
+            raise ExperimentError(
+                f"{', '.join(stale)}: the policy field was removed; unset the "
+                f"variable"
+            )
         for field, variable in POLICY_ENV_VARS.items():
             raw = environ.get(variable)
             if raw is not None:

@@ -29,6 +29,12 @@ class TestParser:
         out = capsys.readouterr().out
         assert "mean square error vs dimensionality" in out
 
+    def test_removed_env_variable_refused(self, capsys, monkeypatch):
+        """A stale REPRO_* variable of a removed field stops the run, named."""
+        monkeypatch.setenv("REPRO_SHARDS", "4")
+        assert main(["figure5", "--task", "linear"]) == 2
+        assert "REPRO_SHARDS" in capsys.readouterr().err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure99"])

@@ -9,6 +9,7 @@ from repro.runtime import (
     KERNEL_GENERIC,
     KERNEL_NEWTON,
     KERNEL_QUADRATIC,
+    PlannedFold,
     classify_kernel,
     plan_cells,
 )
@@ -115,3 +116,33 @@ class TestPlanCells:
         )
         expected = SMOKE.cardinality(us.n)
         assert plan.n_train == pytest.approx(expected * 2 / 3, abs=2)
+
+
+class TestFoldGathers:
+    """``train_arrays``/``test_arrays`` are ``X[idx]``/``y[idx]``, byte for byte."""
+
+    @staticmethod
+    def _fold(read_only: bool) -> PlannedFold:
+        gen = np.random.default_rng(4)
+        X = gen.uniform(-0.5, 0.5, size=(97, 6))
+        y = gen.uniform(-1.0, 1.0, size=97)
+        if read_only:
+            X.setflags(write=False)
+            y.setflags(write=False)
+        order = gen.permutation(97)
+        return PlannedFold(
+            rep=0, fold=0, X=X, y=y, train_idx=np.sort(order[:70]),
+            test_idx=order[70:], stream_tag=(1, 0, 0),
+        )
+
+    @pytest.mark.parametrize("read_only", [True, False], ids=["read-only", "writable"])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_gather_equals_fancy_index(self, read_only, split):
+        fold = self._fold(read_only)
+        idx = fold.train_idx if split == "train" else fold.test_idx
+        X_part, y_part = getattr(fold, f"{split}_arrays")()
+        for got, want, source in ((X_part, fold.X[idx], fold.X), (y_part, fold.y[idx], fold.y)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert not np.shares_memory(got, source)

@@ -10,6 +10,7 @@ answer for each other.
 import numpy as np
 import pytest
 
+from repro.core import objectives
 from repro.core.objectives import LinearRegressionObjective, LogisticRegressionObjective
 from repro.data.datasets import RegressionTask
 from repro.exceptions import DataError, DomainError
@@ -17,7 +18,8 @@ from repro.experiments.config import ScalePreset
 from repro.obs import TraceRecorder, use_recorder
 from repro.regression.linear import _validate_xy as _validate_linear_xy
 from repro.regression.logistic import _validate_xy as _validate_logistic_xy
-from repro.runtime import PreparedDataCache, plan_cells, run_plan
+from repro.runtime import KERNEL_GENERIC, PreparedDataCache, plan_cells, run_plan
+from repro.runtime.plan import CellPlan
 from repro.runtime.runner import _objective_gate
 from repro.session import ExecutionPolicy, Session
 
@@ -124,3 +126,89 @@ class TestReadOnlyTaskArrays:
             prepared.X[0, 0] = 0.0
         with pytest.raises(ValueError):
             prepared.y[0] = 0.0
+
+
+class _CorruptDataset:
+    """A table whose prepared features carry one bad row: NaN, inf or norm 2."""
+
+    n = 60
+
+    def __init__(self, corruption: str) -> None:
+        self.corruption = corruption
+
+    def regression_task(self, task, dims):
+        gen = np.random.default_rng(0)
+        X = gen.uniform(-0.4, 0.4, size=(self.n, 4))
+        X[7] = {"nan": [np.nan, 0, 0, 0], "inf": [np.inf, 0, 0, 0], "norm": 1.0}[
+            self.corruption
+        ]
+        if task == "linear":
+            y = gen.uniform(-1.0, 1.0, size=self.n)
+        else:
+            y = (gen.uniform(size=self.n) < 0.5).astype(float)
+        return RegressionTask(
+            X=X, y=y, task=task, country="us", feature_names=("a", "b", "c", "d")
+        )
+
+
+#: NoPrivacy is not private, so it (like its per-cell fit) accepts rows with
+#: norm > 1 and refuses only non-finite data.  Its logistic gate checks the
+#: labels alone, so only the linear (OLS) plan is covered here.
+_REFUSED = [
+    (algorithm, task, corruption)
+    for algorithm, task in [
+        ("FM", "linear"), ("FM", "logistic"), ("Truncated", "linear"),
+        ("Truncated", "logistic"), ("NoPrivacy", "linear"),
+    ]
+    for corruption in ("nan", "inf", "norm")
+    if not (algorithm == "NoPrivacy" and corruption == "norm")
+]
+
+
+class TestPlanGateRefusesBadData:
+    """The batched path refuses what the per-cell fit refuses, before any
+    noise is drawn, whether or not a prepared-data cache memoizes the gate."""
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    @pytest.mark.parametrize("algorithm, task, corruption", _REFUSED)
+    def test_refused_before_noise(self, algorithm, task, corruption, cached, monkeypatch):
+        draws = []
+        substream = CellPlan.substream
+        monkeypatch.setattr(
+            CellPlan, "substream", lambda plan, fold: draws.append(fold) or substream(plan, fold)
+        )
+        preset = ScalePreset(name="tiny", max_records=None, folds=3, repetitions=2)
+        plan = plan_cells(
+            algorithm, _CorruptDataset(corruption), task, 4, [1.0],
+            preset=preset, prepared_cache=PreparedDataCache() if cached else None,
+        )
+        assert plan.kernel != KERNEL_GENERIC
+        with pytest.raises((DataError, DomainError)):
+            run_plan(plan, mode="batched")
+        assert draws == []
+
+
+class TestFoldBuildTrustsGate:
+    """The fold build aggregates the gathered rows without re-scanning them:
+    the plan-level gate is the only finiteness pass, once per prepared array
+    pair, however many folds there are."""
+
+    @pytest.mark.parametrize("algorithm", ["FM", "Truncated"])
+    @pytest.mark.parametrize("task", ["linear", "logistic"])
+    def test_matrix_checks_do_not_grow_with_folds(self, us, algorithm, task, monkeypatch):
+        calls = []
+        check = objectives._validate_matrix
+        monkeypatch.setattr(
+            objectives, "_validate_matrix", lambda X, dim: calls.append(X.shape) or check(X, dim)
+        )
+        counts = {}
+        for folds in (3, 6):
+            calls.clear()
+            # max_records < n: every repetition subsamples its own array pair.
+            preset = ScalePreset(name="tiny", max_records=600, folds=folds, repetitions=2)
+            plan = plan_cells(algorithm, us, task, 5, [0.5, 2.0], preset=preset)
+            run_plan(plan, mode="batched")
+            counts[folds] = len(calls)
+        # One check per repetition's whole array pair, never one per fold.
+        assert counts == {3: 2, 6: 2}
+        assert {rows for rows, _ in calls} == {600}

@@ -193,6 +193,21 @@ class TestLayeredResolution:
         with pytest.raises(ExperimentError, match="executor"):
             ExecutionPolicy.resolve(env={"REPRO_EXECUTOR": "gpu"})
 
+    @pytest.mark.parametrize(
+        "variable", ["REPRO_STREAM_VERSION", "REPRO_SHARDS", "REPRO_BACKEND"]
+    )
+    def test_removed_env_variable_rejected(self, variable):
+        """A stale variable of a removed field is refused, like the field in
+        a policy file or explicit values, and the error names it."""
+        with pytest.raises(ExperimentError, match=variable):
+            ExecutionPolicy.resolve(env={variable: "1"})
+        with pytest.raises(ExperimentError, match=variable):
+            ExecutionPolicy.resolve(env={variable: "", "REPRO_SEED": "9"})
+
+    def test_env_without_removed_variables_resolves_to_default(self):
+        env = {"PATH": "/usr/bin", "REPRO_UNRELATED": "x"}
+        assert ExecutionPolicy.resolve(env=env) == ExecutionPolicy()
+
     @pytest.mark.parametrize("runtime", ["engine", "auto"])
     def test_removed_runtimes_rejected_from_env(self, runtime):
         with pytest.raises(ExperimentError, match="runtime"):
