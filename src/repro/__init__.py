@@ -33,8 +33,9 @@ Package map
     Synthetic IPUMS-like census data (US/Brazil substitution).
 ``repro.engine``
     Streaming sufficient-statistics engine: chunked/merged moment
-    accumulation, one-pass multi-epsilon sweeps, and a content-addressed
-    accumulator cache (``python -m repro engine`` is the CLI entry point).
+    accumulation, one-pass multi-epsilon sweeps, and the checksummed
+    ``.acc`` container that serve snapshots and federated envelopes share
+    (``examples/streaming_census.py`` walks through it).
 ``repro.runtime``
     Batched cell-solver runtime for the repeated-CV protocol: up-front
     (rep, fold, epsilon) cell planning, stacked LAPACK kernels and a
@@ -65,7 +66,6 @@ from .core import (
     QuadraticForm,
 )
 from .engine import (
-    AccumulatorCache,
     EpsilonSweepEngine,
     MomentAccumulator,
     MomentSnapshot,
@@ -104,7 +104,6 @@ __all__ = [
     "LogisticRegressionObjective",
     "Polynomial",
     "QuadraticForm",
-    "AccumulatorCache",
     "EpsilonSweepEngine",
     "MomentAccumulator",
     "MomentSnapshot",

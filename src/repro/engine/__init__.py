@@ -6,18 +6,16 @@ statistics.  This package exploits that structure end to end:
 
 :mod:`repro.engine.accumulator`
     :class:`MomentAccumulator`: chunked/streaming accumulation with exactly
-    associative-commutative ``merge`` and bit-deterministic results.
+    associative-commutative ``merge`` and bit-deterministic results, plus
+    the checksummed ``.acc`` container (``encode_entry``/``decode_entry``)
+    that serve snapshots and federated envelopes are written in.
 :mod:`repro.engine.sweep`
     :class:`EpsilonSweepEngine`: fitted FM models for a whole epsilon vector
     from one data pass, with vectorized Laplace draws and repeated-draw
     variance estimation.
-:mod:`repro.engine.cache`
-    :class:`AccumulatorCache`: content-addressed on-disk reuse of finalized
-    statistics between runs.
 """
 
 from .accumulator import DEFAULT_BLOCK_SIZE, MomentAccumulator, MomentSnapshot
-from .cache import AccumulatorCache, dataset_fingerprint, objective_tag
 from .sweep import (
     EpsilonSweepEngine,
     EpsilonSweepResult,
@@ -29,9 +27,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "MomentAccumulator",
     "MomentSnapshot",
-    "AccumulatorCache",
-    "dataset_fingerprint",
-    "objective_tag",
     "EpsilonSweepEngine",
     "EpsilonSweepResult",
     "SweepPoint",

@@ -46,10 +46,20 @@ Sealing: ``merge``, ``save`` and ``snapshot`` treat a pending partial block
 raw rows needed to keep filling it are not transferable.  ``merge`` therefore
 seals both operands' tails; ``snapshot`` and ``save`` do not change the
 statistics (``snapshot`` only memoizes its result).
+
+Durable container: :func:`encode_entry` wraps a saved accumulator in the
+repo's one durable format for accumulator state — a one-line JSON header
+(format version, payload byte count, SHA-256) followed by the raw ``.npz``
+payload.  :mod:`repro.serve` writes tenant snapshots with exactly these
+bytes and :mod:`repro.federated` embeds them in its wire envelopes, so one
+decoder (:func:`decode_entry`) and one corruption surface cover both.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -64,13 +74,20 @@ from ..core.objectives import (
 )
 from ..core.polynomial import QuadraticForm
 from ..exceptions import (
+    CacheIntegrityError,
     DataError,
     DegreeError,
     DimensionMismatchError,
     DomainError,
 )
 
-__all__ = ["DEFAULT_BLOCK_SIZE", "MomentAccumulator", "MomentSnapshot"]
+__all__ = [
+    "DEFAULT_BLOCK_SIZE",
+    "MomentAccumulator",
+    "MomentSnapshot",
+    "decode_entry",
+    "encode_entry",
+]
 
 #: Rows per canonical block.  Large enough that the per-block matmul
 #: dominates Python overhead, small enough that the reduction stays exact
@@ -447,3 +464,49 @@ class MomentAccumulator:
                 out._tail_y = np.ascontiguousarray(data["tail_y"])
             out._n = n
         return out
+
+
+#: Container format version of an ``.acc`` entry's JSON header.
+_ENTRY_FORMAT = 1
+
+
+def encode_entry(accumulator: MomentAccumulator) -> bytes:
+    """Serialize an accumulator into the checksummed ``.acc`` container."""
+    buffer = io.BytesIO()
+    accumulator.save(buffer)
+    payload = buffer.getvalue()
+    header = {
+        "format": _ENTRY_FORMAT,
+        "nbytes": len(payload),
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+
+
+def decode_entry(blob: bytes) -> MomentAccumulator:
+    """Parse + verify an ``.acc`` container; any damage raises
+    :class:`~repro.exceptions.CacheIntegrityError` (headers and payload
+    alike — a bit-flip anywhere must be caught, never deserialized)."""
+    newline = blob.find(b"\n")
+    if newline < 0:
+        raise CacheIntegrityError("cache entry has no header line")
+    try:
+        header = json.loads(blob[:newline])
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CacheIntegrityError(f"cache entry header is unreadable: {exc}") from None
+    if not isinstance(header, dict) or header.get("format") != _ENTRY_FORMAT:
+        raise CacheIntegrityError(
+            f"unsupported cache entry format {header!r}"
+        )
+    payload = blob[newline + 1 :]
+    if len(payload) != header.get("nbytes"):
+        raise CacheIntegrityError(
+            f"cache entry truncated: expected {header.get('nbytes')} payload "
+            f"bytes, found {len(payload)}"
+        )
+    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+        raise CacheIntegrityError("cache entry failed its checksum")
+    try:
+        return MomentAccumulator.load(io.BytesIO(payload))
+    except Exception as exc:  # a checksum pass should make this unreachable
+        raise CacheIntegrityError(f"cache entry payload is undecodable: {exc}") from None

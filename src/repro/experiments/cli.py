@@ -9,7 +9,6 @@ Usage (installed package)::
     python -m repro figure6 --runtime percell --executor thread
     python -m repro convergence --task linear
     python -m repro table2
-    python -m repro engine --task linear --epsilons 0.1,1,10
     python -m repro figure5 --trace figure5.jsonl
     python -m repro trace summarize figure5.jsonl
     python -m repro verify --tier 1
@@ -40,9 +39,6 @@ connection's thread: executor, retry and timeout flags change no fit, while
 
 Accuracy figures print the paper-style sweep table; timing figures print the
 per-algorithm fit times; ``figure2``/``figure3`` print the worked examples.
-``engine`` streams the dataset through the :mod:`repro.engine` sufficient-
-statistics accumulator (optionally cached via ``--cache-dir``) and refits
-the Functional Mechanism at every requested budget from that one pass.
 The ``--scale`` presets trade fidelity for time (see
 :mod:`repro.experiments.config`).
 
@@ -91,20 +87,16 @@ import numpy as np
 
 from ..analysis.convergence import convergence_study
 from ..data import load_brazil, load_us
-from ..engine import AccumulatorCache, EpsilonSweepEngine, MomentAccumulator
 from ..exceptions import ExperimentError, FederatedError, ReproError
-from ..obs import load_trace, make_recorder, summarize_trace, use_recorder
-from ..privacy.rng import derive_substream
+from ..obs import load_trace, summarize_trace, use_recorder
 from ..session import ExecutionPolicy, Session, figure_spec
 from ..verify.cli import add_verify_arguments, run_verify
 from .config import DEFAULT_DIMENSIONALITY, PRESETS
-from .harness import objective_for, score_from_scores
 from .figures import (
     figure2_objective_example,
     figure3_approximation_example,
 )
 from .reporting import (
-    format_engine_table,
     format_objective_curve,
     format_sweep_table,
     format_time_table,
@@ -229,38 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv = sub.add_parser("convergence", help="Theorem-2 convergence study")
     conv.add_argument("--task", choices=("linear", "logistic"), default="linear")
     conv.add_argument("--epsilon", type=float, default=1.0)
-
-    eng = sub.add_parser(
-        "engine",
-        help="one-pass multi-epsilon FM fits from streamed sufficient statistics",
-    )
-    eng.add_argument("--task", choices=("linear", "logistic"), default="linear")
-    eng.add_argument(
-        "--epsilons", default="0.1,0.2,0.4,0.8,1.6,3.2",
-        help="comma-separated privacy budgets (default: the Table-2 range)",
-    )
-    eng.add_argument("--country", choices=("us", "brazil"), default="us")
-    eng.add_argument("--dims", type=int, default=DEFAULT_DIMENSIONALITY)
-    eng.add_argument("--scale", choices=sorted(_PRESETS), default="smoke")
-    eng.add_argument("--seed", type=int, default=0)
-    eng.add_argument(
-        "--repeats", type=int, default=1,
-        help="independent draws per epsilon for error bars (1 = no error bars)",
-    )
-    eng.add_argument(
-        "--cache-dir", default=None,
-        help="content-addressed accumulator cache directory (skips the data "
-        "pass when the same dataset/objective was accumulated before)",
-    )
-    eng.add_argument(
-        "--telemetry", choices=("off", "summary", "trace"), default=None,
-        help="observability level for the engine pass (default off)",
-    )
-    eng.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="write the engine run's telemetry as JSONL to PATH (implies "
-        "--telemetry trace unless a level is given)",
-    )
 
     verify = sub.add_parser(
         "verify",
@@ -408,8 +368,8 @@ def _resolve_telemetry(args) -> str | None:
 
 
 def _load(country: str, preset):
-    """Load a census table at preset scale (the engine subcommand's path;
-    the figure commands go through :meth:`Session.dataset`)."""
+    """Load a census table at preset scale (the federated subcommand's
+    path; the figure commands go through :meth:`Session.dataset`)."""
     loader = load_us if country == "us" else load_brazil
     if preset.max_records is not None:
         return loader(preset.max_records)
@@ -431,82 +391,6 @@ def _run_table2() -> str:
             f"  privacy budgets:   {', '.join(f'{v:g}' for v in PRIVACY_BUDGETS)}",
         ]
     )
-
-
-#: Substream namespace tag for the engine subcommand's noise draws.
-_ENGINE_STREAM_TAG = 0xE16
-
-
-def _run_engine(args) -> int:
-    """The ``engine`` subcommand: accumulate once, refit every budget."""
-    try:
-        epsilons = tuple(float(v) for v in args.epsilons.split(",") if v.strip())
-    except ValueError:
-        print(f"error: could not parse --epsilons {args.epsilons!r}", file=sys.stderr)
-        return 2
-    if not epsilons or any(not math.isfinite(e) or e <= 0.0 for e in epsilons):
-        print(
-            f"error: --epsilons needs at least one positive budget, "
-            f"got {args.epsilons!r}",
-            file=sys.stderr,
-        )
-        return 2
-    preset = _PRESETS[args.scale]
-    dataset = _load(args.country, preset)
-    prepared = dataset.regression_task(args.task, dims=args.dims)
-    objective = objective_for(args.task, prepared.dim)
-
-    def build():
-        return MomentAccumulator(prepared.dim).update(prepared.X, prepared.y)
-
-    # The recorder measures the statistics pass whether or not telemetry is
-    # on — a NullRecorder span still carries the clock, which is exactly
-    # the perf_counter pair this path always paid.
-    recorder = make_recorder(_resolve_telemetry(args) or "off")
-    with use_recorder(recorder):
-        cache_hit = False
-        with recorder.span("engine.ingest", cached=bool(args.cache_dir)) as ingest:
-            if args.cache_dir:
-                cache = AccumulatorCache(args.cache_dir)
-                key = AccumulatorCache.make_key(prepared.X, prepared.y, objective)
-                accumulator, cache_hit = cache.get_or_build(key, build)
-            else:
-                accumulator = build()
-        pass_seconds = ingest.seconds
-
-        engine = EpsilonSweepEngine(objective, accumulator)
-        sweep = engine.sweep(
-            epsilons, rng=derive_substream(args.seed, [_ENGINE_STREAM_TAG])
-        )
-        scores, norms, solves = [], [], []
-        for point in sweep.points:
-            scores.append(
-                score_from_scores(args.task, prepared.y, prepared.X @ point.omega)
-            )
-            norms.append(float(np.linalg.norm(point.omega)))
-            solves.append(point.solve_seconds)
-        stds = None
-        if args.repeats > 1:
-            variance = engine.variance_estimate(
-                epsilons, repeats=args.repeats,
-                rng=derive_substream(args.seed, [_ENGINE_STREAM_TAG, 1]),
-            )
-            stds = [float(np.mean(variance.std[i])) for i in range(len(epsilons))]
-    header = [
-        f"rows={accumulator.n_rows} dim={prepared.dim} "
-        f"blocks={accumulator.num_blocks}",
-        f"statistics pass: {pass_seconds:.3f}s"
-        + (" (cache hit — no data pass)" if cache_hit else ""),
-        f"sensitivity Delta={engine.sensitivity:g}; "
-        f"one pass, {len(epsilons)} budgets",
-    ]
-    print(format_engine_table(
-        args.task, epsilons, scores, norms, solves, stds=stds, header_lines=header,
-    ))
-    if args.trace:
-        recorder.write_jsonl(args.trace, meta={"entry_point": "engine"})
-        print(f"trace written to {args.trace}")
-    return 0
 
 
 def _run_serve(args) -> int:
@@ -714,13 +598,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"federated: rejected: {error}", file=sys.stderr)
             return 3
         except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    if args.command == "engine":
-        try:
-            return _run_engine(args)
-        except ExperimentError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
 

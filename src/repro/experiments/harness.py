@@ -54,7 +54,6 @@ from ..core.objectives import (
 )
 from ..data.datasets import CensusDataset
 from ..exceptions import ExperimentError
-from ..regression.metrics import mean_squared_error, misclassification_rate
 from ..runtime import (
     CellExecutor,
     PlanResult,
@@ -70,7 +69,6 @@ from .config import DEFAULT, ScalePreset
 __all__ = [
     "EvaluationResult",
     "objective_for",
-    "score_from_scores",
 ]
 
 
@@ -79,16 +77,6 @@ def objective_for(task: Task, dim: int):
     if task == "linear":
         return LinearRegressionObjective(dim)
     return LogisticRegressionObjective(dim)
-
-
-def score_from_scores(task: Task, y_true: np.ndarray, z: np.ndarray) -> float:
-    """The paper's metric from raw scores ``z = X @ omega``.
-
-    For logistic, ``z > 0`` is exactly the sigmoid(z) > 0.5 threshold.
-    """
-    if task == "linear":
-        return mean_squared_error(y_true, z)
-    return misclassification_rate(y_true, (z > 0.0).astype(float))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ __all__ = [
     "format_sweep_table",
     "format_time_table",
     "format_objective_curve",
-    "format_engine_table",
     "summarize_ordering",
 ]
 
@@ -73,38 +72,6 @@ def format_time_table(result: SweepResult) -> str:
         title, _PARAM_LABEL[result.parameter], result.values, columns,
         value_format="{:.4g}",
     )
-
-
-def format_engine_table(
-    task: str,
-    epsilons: Sequence[float],
-    scores: Sequence[float],
-    norms: Sequence[float],
-    solve_seconds: Sequence[float],
-    stds: Sequence[float] | None = None,
-    header_lines: Sequence[str] = (),
-) -> str:
-    """Render one ``repro engine`` sweep: metric, norm and solve time per eps.
-
-    The metric is evaluated in-sample (a diagnostic of the release, not the
-    paper's held-out protocol — that lives in the harness).  ``stds``, when
-    given, holds the repeated-draw mean coefficient standard deviation from
-    :meth:`repro.engine.EpsilonSweepEngine.variance_estimate`.
-    """
-    title = f"engine sweep: {_metric_label(task)} (in-sample) vs privacy budget eps"
-    columns: dict[str, Sequence[float]] = {
-        _metric_label(task).split()[-1]: scores,
-        "||omega||": norms,
-        "solve sec": solve_seconds,
-    }
-    if stds is not None:
-        columns["coef std"] = stds
-    table = _render_table(
-        title, "privacy budget eps", list(epsilons), columns, value_format="{:.4g}"
-    )
-    if header_lines:
-        return "\n".join([*header_lines, table])
-    return table
 
 
 def format_objective_curve(curve: ObjectiveCurve, labels: tuple[str, str]) -> str:

@@ -4,7 +4,7 @@ The robustness layer has two halves that share this package:
 
 **Injection** (:mod:`repro.faults.plan`, :mod:`repro.faults.injector`)
     A :class:`FaultPlan` (the ``REPRO_FAULTS`` grammar, e.g.
-    ``"seed=7;worker.crash=0.5x2;cache.corrupt=1.0"``) and the
+    ``"seed=7;worker.crash=0.5x2;payload.corrupt=1.0"``) and the
     :class:`FaultInjector` that answers, at each compiled-in site,
     whether the fault fires — a pure function of ``(seed, site, index,
     attempt)`` derived through the experiments' own keyed-substream

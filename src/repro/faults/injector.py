@@ -19,7 +19,7 @@ Two query styles:
 :meth:`FaultInjector.consume`
     Stateful — the injector counts how often each ``(site, index)``
     point has fired and stops at the spec's ``max_triggers``.  Used by
-    the in-process sites (cache corruption, transient IO, budget crash),
+    the in-process sites (transient IO, budget crash),
     where "fail twice then succeed" needs memory.  Calls are made from
     deterministic code paths, so the counts — and therefore the fired
     pattern — are reproducible too.
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from pathlib import Path
 
 from ..obs import active_recorder
 from ..privacy.rng import derive_substream
@@ -158,11 +157,6 @@ class FaultInjector:
         corrupted = bytearray(data)
         corrupted[position] ^= mask
         return bytes(corrupted)
-
-    def corrupt_file(self, path: str | Path, site: str, index: int) -> None:
-        """Flip one deterministic byte of the file at ``path``, in place."""
-        path = Path(path)
-        path.write_bytes(self.corrupt_bytes(path.read_bytes(), site, index))
 
 
 #: The shared inert injector: every decision is one spec-miss.

@@ -3,8 +3,8 @@
 A :class:`FaultPlan` is the configuration half of the fault-injection
 subsystem: a seed plus a set of :class:`FaultSpec` entries, one per
 *site*.  A site is a named hook compiled into the production code path
-(``worker.crash`` inside a process-pool child, ``cache.corrupt`` on an
-accumulator-cache read, ...); the plan says with what probability — and
+(``worker.crash`` inside a process-pool child, ``io.transient`` on a
+durable-state read or write, ...); the plan says with what probability — and
 at most how many times per injection point — each site fires.  The
 decision function itself lives in :class:`repro.faults.FaultInjector`
 and is a pure function of ``(plan.seed, site, index, attempt)``, so a
@@ -14,7 +14,7 @@ pattern on every re-run, in every process.
 Plans serialize to a one-line grammar (the ``REPRO_FAULTS`` environment
 variable and ``ExecutionPolicy(faults=...)`` both carry it)::
 
-    seed=7;hang=0.2;worker.crash=0.5x2;cache.corrupt=1.0
+    seed=7;hang=0.2;worker.crash=0.5x2;payload.corrupt=1.0
 
 ``;`` or ``,`` separate entries.  ``seed=<int>`` keys every decision
 stream; ``hang=<seconds>`` sets how long an injected ``tile.hang``
@@ -51,7 +51,7 @@ FAULT_SITES = {
     "worker.crash": 1,  # os._exit inside a process-pool child
     "tile.hang": 2,  # child sleeps past the tile timeout
     "payload.corrupt": 3,  # bit-flip in the pickled result envelope
-    "cache.corrupt": 4,  # on-disk bit-flip of an AccumulatorCache entry
+    # 4 is retired with its site (cache.corrupt): never reuse it.
     "io.transient": 5,  # TransientIOError on a durable-state read/write
     "budget.crash": 6,  # crash between a budget journal intent and commit
 }

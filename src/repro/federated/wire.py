@@ -13,10 +13,10 @@ a standard ``.npz`` archive whose members depend on the noise mode:
 
 ``central`` / ``share``
     ``acc`` — the party's clean :class:`~repro.engine.accumulator.
-    MomentAccumulator` serialized through the PR-7 ``.acc`` codec
-    (:func:`~repro.engine.cache.encode_entry`), i.e. *its own* inner
+    MomentAccumulator` serialized through the ``.acc`` codec
+    (:func:`~repro.engine.accumulator.encode_entry`), i.e. *its own* inner
     header + checksum.  One decoder — and one corruption-test surface —
-    covers the cache, serve snapshots, and the federation wire.
+    covers serve snapshots and the federation wire.
 ``share`` additionally
     ``share`` — the party's additive noise share: a ``uint64`` array
     over the mod-2^64 ring whose sum across all parties is the exact
@@ -49,8 +49,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..engine.accumulator import MomentAccumulator
-from ..engine.cache import decode_entry, encode_entry
+from ..engine.accumulator import MomentAccumulator, decode_entry, encode_entry
 from ..exceptions import (
     CacheIntegrityError,
     SchemaMismatchError,

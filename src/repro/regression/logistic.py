@@ -172,6 +172,8 @@ def _validate_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
     if X.shape[0] == 0:
         raise DataError("cannot fit on an empty dataset")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise DataError("X and y must be finite")
     unique = np.unique(y)
     if not np.all(np.isin(unique, (0.0, 1.0))):
         raise DataError(

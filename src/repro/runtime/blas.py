@@ -29,13 +29,20 @@ import numpy as np
 
 from ..exceptions import BlasThreadError
 
-__all__ = ["PINNED_BLAS_THREADS", "blas_info", "blas_threads", "single_blas_thread"]
+__all__ = [
+    "PINNED_BLAS_THREADS",
+    "blas_core",
+    "blas_info",
+    "blas_threads",
+    "single_blas_thread",
+]
 
 #: The BLAS thread count inside the pin.
 PINNED_BLAS_THREADS = 1
 
 _GETTER = "scipy_openblas_get_num_threads64_"
 _SETTER = "scipy_openblas_set_num_threads64_"
+_CORENAME = "scipy_openblas_get_corename64_"
 
 _lock = threading.Lock()
 _depth = 0
@@ -62,22 +69,46 @@ def _numpy_openblas_paths() -> list[str]:
     return sorted(glob.glob(str(libs / "*openblas*")))
 
 
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (the library with the thread controls)."""
+    for path in _numpy_openblas_paths():
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, _GETTER) and hasattr(lib, _SETTER):
+            return lib
+    return None
+
+
 @lru_cache(maxsize=1)
 def _controls() -> tuple:
     """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS."""
-    for path in _numpy_openblas_paths():
-        lib = ctypes.CDLL(path)
-        getter, setter = getattr(lib, _GETTER, None), getattr(lib, _SETTER, None)
-        if getter is not None and setter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            return getter, setter
+    lib = _openblas()
+    if lib is not None:
+        getter, setter = getattr(lib, _GETTER), getattr(lib, _SETTER)
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        return getter, setter
     info = blas_info()
     raise BlasThreadError(
         f"cannot pin numpy's BLAS ({info['name']} {info['version']}) to one "
         f"thread: no {_SETTER} in numpy's bundled libraries (numpy >= 2.0 "
         f"wheels ship it)"
     )
+
+
+@lru_cache(maxsize=1)
+def blas_core() -> str:
+    """The kernel family numpy's OpenBLAS dispatched to on this CPU.
+
+    ``SkylakeX`` on AVX-512 hosts, ``Haswell`` on AVX2-only ones (or under
+    ``OPENBLAS_CORETYPE=Haswell``); ``"unknown"`` when the library does not
+    report it.  GEMM results differ between kernels in the last bits.
+    """
+    lib = _openblas()
+    corename = getattr(lib, _CORENAME, None) if lib is not None else None
+    if corename is None:
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def blas_threads() -> int:

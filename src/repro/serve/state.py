@@ -12,11 +12,11 @@ One tenant owns three things, all rooted under
     :meth:`~repro.privacy.budget.PrivacyBudget.restore` — never
     re-created — so spends survive ``kill -9`` by construction.
 ``acc/<task>-d<dims>.acc``
-    One checksummed ``.acc`` container (the PR-7 cache format, via
-    :func:`repro.engine.cache.encode_entry`) per (task, dims)
+    One checksummed ``.acc`` container (via
+    :func:`repro.engine.accumulator.encode_entry`) per (task, dims)
     accumulator, re-written atomically by periodic snapshots.  A corrupt
-    container found at startup is quarantined, exactly like a corrupt
-    cache entry: rows ingested since the last good snapshot are lost
+    container found at startup is quarantined out of the snapshot
+    directory: rows ingested since the last good snapshot are lost
     (they are data, re-sendable by the tenant) but budget spends are
     not, because the ledger has its own journal.
 
@@ -47,8 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..engine.accumulator import MomentAccumulator
-from ..engine.cache import decode_entry, encode_entry
+from ..engine.accumulator import MomentAccumulator, decode_entry, encode_entry
 from ..exceptions import CacheIntegrityError, TransientIOError
 from ..faults import active_injector
 from ..obs import active_recorder
@@ -64,8 +63,7 @@ __all__ = ["TenantRegistry", "TenantState", "partition_note_tag"]
 #: ``meta.json`` format version.
 _META_VERSION = 1
 
-#: Bounded retries for transient IO on snapshot writes/reads (matches the
-#: accumulator cache's policy).
+#: Bounded retries for transient IO on snapshot writes/reads.
 _IO_ATTEMPTS = 3
 
 
@@ -126,7 +124,7 @@ def _atomic_write(path: Path, blob: bytes) -> None:
 def _with_io_retries(site: int, operation, what: str):
     """Run ``operation`` with bounded ``io.transient`` retries.
 
-    The injected-fault check sits *inside* the loop, like the cache's,
+    The injected-fault check sits *inside* the loop,
     so a transient plan with ``xN`` repetitions exhausts its triggers
     against the retries rather than failing the request outright.
     """

@@ -48,7 +48,7 @@ from ..exceptions import ExperimentError
 from ..experiments.config import ScalePreset
 from ..experiments.figures import SweepResult
 from ..obs import active_recorder
-from ..runtime.blas import PINNED_BLAS_THREADS, blas_info
+from ..runtime.blas import PINNED_BLAS_THREADS, blas_core, blas_info
 from ..session import ExecutionPolicy, Session
 
 __all__ = [
@@ -226,8 +226,10 @@ def default_store_path() -> Path:
 def environment_fingerprint() -> dict[str, str | int]:
     """What the stored digests are a function of, beyond the code.
 
-    The BLAS build is named as ``numpy.show_config`` reports it; its thread
-    count is the runtime's pin (:mod:`repro.runtime.blas`), not the host's.
+    The BLAS build is named as ``numpy.show_config`` reports it, plus the
+    kernel family OpenBLAS dispatched to (its GEMM rounds differently per
+    kernel); its thread count is the runtime's pin
+    (:mod:`repro.runtime.blas`), not the host's.
     """
     blas = blas_info()
     return {
@@ -237,6 +239,7 @@ def environment_fingerprint() -> dict[str, str | int]:
         "system": platform.system(),
         "blas": blas["name"],
         "blas_version": blas["version"],
+        "blas_core": blas_core(),
         "blas_threads": PINNED_BLAS_THREADS,
     }
 

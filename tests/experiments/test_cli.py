@@ -39,6 +39,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure99"])
 
+    def test_engine_command_is_gone(self, capsys):
+        # FM releases go through figures, serve or federated; a stale
+        # `engine` invocation fails loudly.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["engine"])
+        assert exit_info.value.code == 2
+        assert "engine" in capsys.readouterr().err
+
     def test_scale_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure4", "--scale", "galactic"])
@@ -101,55 +109,6 @@ class TestCommands:
         assert "noise/signal" in capsys.readouterr().out
 
 
-class TestEngineCommand:
-    def test_defaults(self):
-        args = build_parser().parse_args(["engine"])
-        assert args.task == "linear"
-        assert args.epsilons == "0.1,0.2,0.4,0.8,1.6,3.2"
-        assert args.cache_dir is None
-
-    def test_linear_sweep_smoke(self, capsys):
-        assert main(["engine", "--task", "linear", "--epsilons", "0.1,1,10",
-                     "--scale", "smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "one pass, 3 budgets" in out
-        assert "mean square error" in out
-
-    def test_logistic_sweep_with_error_bars(self, capsys):
-        assert main(["engine", "--task", "logistic", "--epsilons", "0.5,2",
-                     "--scale", "smoke", "--repeats", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "misclassification rate" in out
-        assert "coef std" in out
-
-    def test_cache_round_trip(self, capsys, tmp_path):
-        argv = ["engine", "--epsilons", "1.0", "--scale", "smoke",
-                "--cache-dir", str(tmp_path / "cache")]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "cache hit" not in first
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert "cache hit" in second
-        # Identical statistics + seed => identical metric and ||omega||
-        # (the trailing solve-time column is wall clock, so exclude it).
-        assert first.splitlines()[-2].split()[:3] == second.splitlines()[-2].split()[:3]
-
-    def test_bad_epsilons_exit_code(self, capsys):
-        assert main(["engine", "--epsilons", "abc"]) == 2
-
-    def test_nonpositive_epsilons_exit_code(self, capsys):
-        assert main(["engine", "--epsilons", "0.5,-1"]) == 2
-        assert "positive budget" in capsys.readouterr().err
-
-    def test_shards_flag_is_gone(self, capsys):
-        # Ingestion is one accumulator pass; a stale --shards fails loudly.
-        with pytest.raises(SystemExit) as exit_info:
-            main(["engine", "--shards", "4"])
-        assert exit_info.value.code == 2
-        assert "--shards" in capsys.readouterr().err
-
-
 class TestTelemetryFlags:
     def test_trace_flag_writes_valid_jsonl(self, capsys, tmp_path):
         from repro.obs import load_trace
@@ -167,16 +126,16 @@ class TestTelemetryFlags:
         assert main(argv) == 2
         assert "--trace" in capsys.readouterr().err
 
-    def test_engine_trace(self, capsys, tmp_path):
+    def test_federated_trace(self, capsys, tmp_path):
         from repro.obs import load_trace
 
-        path = tmp_path / "engine.jsonl"
-        assert main(["engine", "--epsilons", "1.0", "--scale", "smoke",
+        path = tmp_path / "federated.jsonl"
+        assert main(["federated", "--epsilons", "1.0", "--parties", "2",
+                     "--block-size", "256", "--executor", "serial",
                      "--trace", str(path)]) == 0
         lines = load_trace(path)
-        assert lines[0]["entry_point"] == "engine"
+        assert lines[0]["entry_point"] == "federated"
         names = {l.get("name") for l in lines}
-        assert "engine.ingest" in names
         assert "engine.sweep_batched" in names
 
     def test_trace_summarize_command(self, capsys, tmp_path):

@@ -1,19 +1,19 @@
-"""Crash-safe durable state: cache entries, the golden store, budget WAL."""
+"""Crash-safe durable state: the golden store and the budget WAL.
+
+The checksummed ``.acc`` accumulator container is covered where it is
+written: serve snapshots (``tests/serve/test_state.py``) and the
+federated wire (``tests/federated/test_wire_fuzz.py``)."""
 
 import json
 import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from repro.engine.accumulator import MomentAccumulator
-from repro.engine.cache import AccumulatorCache
 from repro.exceptions import (
     ExperimentError,
     InvalidBudgetError,
-    TransientIOError,
 )
 from repro.faults import make_injector, use_injector
 from repro.obs import make_recorder, use_recorder
@@ -21,84 +21,8 @@ from repro.privacy.budget import PrivacyBudget
 from repro.verify.golden import load_store, save_store
 
 
-def _accumulator() -> MomentAccumulator:
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(40, 3))
-    X /= 2.0 * np.linalg.norm(X, axis=1, keepdims=True)  # footnote-1 bound
-    y = np.clip(rng.normal(size=40), -1.0, 1.0)
-    return MomentAccumulator(3).update(X, y)
-
-
-def _assert_same_stats(a: MomentAccumulator, b: MomentAccumulator) -> None:
-    sa, sb = a.snapshot(), b.snapshot()
-    assert sa.n == sb.n
-    for field in ("S2", "S1", "Sxy"):
-        np.testing.assert_array_equal(getattr(sa, field), getattr(sb, field))
-    assert sa.Sy == sb.Sy and sa.Syy == sb.Syy
-
-
 def _chaos(spec: str):
     return use_injector(make_injector(spec))
-
-
-class TestCacheDurability:
-    def test_round_trip_is_bit_faithful(self, tmp_path):
-        cache = AccumulatorCache(tmp_path)
-        acc = _accumulator()
-        cache.put("a" * 64, acc)
-        _assert_same_stats(cache.get("a" * 64), acc)
-
-    def test_corrupted_entry_is_quarantined_and_rebuilt(self, tmp_path):
-        cache = AccumulatorCache(tmp_path)
-        key = "b" * 64
-        acc = _accumulator()
-        cache.put(key, acc)
-        recorder = make_recorder("summary")
-        with use_recorder(recorder), _chaos("seed=5;cache.corrupt=1.0x1"):
-            rebuilt, hit = cache.get_or_build(key, _accumulator)
-        assert not hit  # the damaged entry must read as a miss
-        _assert_same_stats(rebuilt, acc)
-        # the corrupt bytes moved to quarantine, a healthy entry replaced them
-        assert len(list(cache.quarantine_dir.iterdir())) == 1
-        assert cache.get(key) is not None
-        counters = recorder.summary()["counters"]
-        assert counters.get("accumulator_cache.quarantined") == 1
-
-    def test_manual_truncation_is_also_caught(self, tmp_path):
-        cache = AccumulatorCache(tmp_path)
-        key = "c" * 64
-        cache.put(key, _accumulator())
-        path = cache.path_for(key)
-        path.write_bytes(path.read_bytes()[:-7])
-        assert cache.get(key) is None
-        assert not path.exists()  # quarantined out of the key namespace
-
-    def test_transient_io_errors_are_retried(self, tmp_path):
-        cache = AccumulatorCache(tmp_path)
-        key = "d" * 64
-        recorder = make_recorder("summary")
-        with use_recorder(recorder), _chaos("seed=5;io.transient=1.0x2"):
-            cache.put(key, _accumulator())  # 2 injected failures, 3 attempts
-        assert recorder.summary()["counters"]["accumulator_cache.io_retries"] == 2
-        assert cache.get(key) is not None
-
-    def test_transient_io_exhaustion_raises(self, tmp_path):
-        cache = AccumulatorCache(tmp_path)
-        with _chaos("seed=5;io.transient=1.0x99"):
-            with pytest.raises(TransientIOError):
-                cache.put("e" * 64, _accumulator())
-
-    def test_legacy_npz_entry_is_a_miss(self, tmp_path):
-        cache = AccumulatorCache(tmp_path)
-        key = "f" * 64
-        _accumulator().save(tmp_path / f"{key}.npz")  # historical format
-        assert cache.get(key) is None
-
-    def test_no_tmp_files_left_behind(self, tmp_path):
-        cache = AccumulatorCache(tmp_path)
-        cache.put("1" * 64, _accumulator())
-        leftovers = [p for p in tmp_path.iterdir() if "tmp" in p.name]
-        assert leftovers == []
 
 
 class TestGoldenStoreDurability:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import ExperimentError
 from repro.faults import (
     DEFAULT_HANG_SECONDS,
     EXECUTOR_SITES,
@@ -15,15 +16,16 @@ from repro.faults import (
     make_injector,
     use_injector,
 )
+from repro.session import ExecutionPolicy
 
 
 class TestGrammar:
     def test_parse_full_plan(self):
-        plan = FaultPlan.parse("seed=7;hang=0.2;worker.crash=0.5x2;cache.corrupt=1.0")
+        plan = FaultPlan.parse("seed=7;hang=0.2;worker.crash=0.5x2;payload.corrupt=1.0")
         assert plan.seed == 7
         assert plan.hang_seconds == 0.2
         assert plan.spec_for("worker.crash") == FaultSpec("worker.crash", 0.5, 2)
-        assert plan.spec_for("cache.corrupt") == FaultSpec("cache.corrupt", 1.0, 1)
+        assert plan.spec_for("payload.corrupt") == FaultSpec("payload.corrupt", 1.0, 1)
         assert plan.spec_for("tile.hang") is None
 
     def test_comma_and_semicolon_separators_equivalent(self):
@@ -32,14 +34,14 @@ class TestGrammar:
         )
 
     def test_entry_order_is_normalized(self):
-        a = FaultPlan.parse("cache.corrupt=1.0;worker.crash=0.5")
-        b = FaultPlan.parse("worker.crash=0.5;cache.corrupt=1.0")
+        a = FaultPlan.parse("payload.corrupt=1.0;worker.crash=0.5")
+        b = FaultPlan.parse("worker.crash=0.5;payload.corrupt=1.0")
         assert a == b
 
     def test_describe_round_trips(self):
         for text in (
             "seed=0",
-            "seed=7;hang=0.2;worker.crash=0.5x2;cache.corrupt=1.0",
+            "seed=7;hang=0.2;worker.crash=0.5x2;payload.corrupt=1.0",
             "seed=-3;tile.hang=1.0;budget.crash=0.25x4",
         ):
             plan = FaultPlan.parse(text)
@@ -74,6 +76,22 @@ class TestGrammar:
 
     def test_executor_sites_are_registered(self):
         assert set(EXECUTOR_SITES) <= set(FAULT_SITES)
+
+    def test_site_words_are_pinned(self):
+        # The words key every site's decision substream: renumbering one
+        # reshuffles every recorded fault pattern, and the retired word 4
+        # must stay unused.
+        assert FAULT_SITES == {
+            "worker.crash": 1,
+            "tile.hang": 2,
+            "payload.corrupt": 3,
+            "io.transient": 5,
+            "budget.crash": 6,
+        }
+
+    def test_retired_site_refused_by_policy(self):
+        with pytest.raises(ExperimentError, match="unknown fault site 'cache.corrupt'"):
+            ExecutionPolicy(faults="cache.corrupt=1.0")
 
 
 class TestRetryPolicy:
@@ -139,17 +157,17 @@ class TestInjectorDeterminism:
         assert crash != corrupt
 
     def test_consume_counts_triggers(self):
-        injector = FaultInjector(FaultPlan.parse("seed=1;cache.corrupt=1.0x2"))
-        assert injector.consume("cache.corrupt", 9)
-        assert injector.consume("cache.corrupt", 9)
-        assert not injector.consume("cache.corrupt", 9)  # cap reached
-        assert injector.consume("cache.corrupt", 10)  # other points unaffected
+        injector = FaultInjector(FaultPlan.parse("seed=1;payload.corrupt=1.0x2"))
+        assert injector.consume("payload.corrupt", 9)
+        assert injector.consume("payload.corrupt", 9)
+        assert not injector.consume("payload.corrupt", 9)  # cap reached
+        assert injector.consume("payload.corrupt", 10)  # other points unaffected
 
     def test_corrupt_bytes_changes_exactly_one_byte_deterministically(self):
-        injector = FaultInjector(FaultPlan.parse("seed=5;cache.corrupt=1.0"))
+        injector = FaultInjector(FaultPlan.parse("seed=5;payload.corrupt=1.0"))
         data = bytes(range(256))
-        once = injector.corrupt_bytes(data, "cache.corrupt", 3)
-        again = injector.corrupt_bytes(data, "cache.corrupt", 3)
+        once = injector.corrupt_bytes(data, "payload.corrupt", 3)
+        again = injector.corrupt_bytes(data, "payload.corrupt", 3)
         assert once == again
         assert once != data
         assert sum(x != y for x, y in zip(once, data)) == 1
@@ -157,7 +175,7 @@ class TestInjectorDeterminism:
     def test_null_injector_never_fires(self):
         assert not NULL_INJECTOR.active
         assert not NULL_INJECTOR.decide("worker.crash", 0)
-        assert not NULL_INJECTOR.consume("cache.corrupt", 0)
+        assert not NULL_INJECTOR.consume("payload.corrupt", 0)
 
 
 class TestActiveSlot:

@@ -9,7 +9,10 @@ pin inherit one thread.
 """
 
 import ctypes.util
+import os
+import platform
 import re
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -227,3 +230,29 @@ class TestNumpyFloor:
         for name in ("setup.py", "requirements-dev.txt"):
             floors = re.findall(r"numpy>=(\d+)", (root / name).read_text())
             assert floors and all(int(major) >= 2 for major in floors), name
+
+
+class TestBlasCore:
+    @pytest.mark.skipif(
+        platform.machine() != "x86_64", reason="Haswell is an x86_64 kernel"
+    )
+    def test_core_follows_the_dispatched_kernel(self):
+        """The fingerprint's ``blas_core`` is the kernel OpenBLAS actually
+        runs: forcing another family in a child process is reported."""
+        script = "from repro.runtime.blas import blas_core; print(blas_core())"
+        env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_CORETYPE": "Haswell"}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True, cwd=Path(__file__).resolve().parents[2],
+        ).stdout
+        assert out.strip() == "Haswell"
+
+    def test_library_without_the_symbol_reports_unknown(self, monkeypatch):
+        monkeypatch.setattr(blas, "_numpy_openblas_paths", lambda: [])
+        blas.blas_core.cache_clear()
+        try:
+            assert blas.blas_core() == "unknown"
+        finally:
+            monkeypatch.undo()
+            blas.blas_core.cache_clear()
+        assert blas.blas_core() != "unknown"

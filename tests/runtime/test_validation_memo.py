@@ -152,13 +152,12 @@ class _CorruptDataset:
 
 
 #: NoPrivacy is not private, so it (like its per-cell fit) accepts rows with
-#: norm > 1 and refuses only non-finite data.  Its logistic gate checks the
-#: labels alone, so only the linear (OLS) plan is covered here.
+#: norm > 1 and refuses only non-finite data.
 _REFUSED = [
     (algorithm, task, corruption)
     for algorithm, task in [
         ("FM", "linear"), ("FM", "logistic"), ("Truncated", "linear"),
-        ("Truncated", "logistic"), ("NoPrivacy", "linear"),
+        ("Truncated", "logistic"), ("NoPrivacy", "linear"), ("NoPrivacy", "logistic"),
     ]
     for corruption in ("nan", "inf", "norm")
     if not (algorithm == "NoPrivacy" and corruption == "norm")
@@ -166,26 +165,38 @@ _REFUSED = [
 
 
 class TestPlanGateRefusesBadData:
-    """The batched path refuses what the per-cell fit refuses, before any
-    noise is drawn, whether or not a prepared-data cache memoizes the gate."""
+    """The batched path refuses what the per-cell fit refuses, with the same
+    exception class and before any noise is drawn, whether or not a
+    prepared-data cache memoizes the gate."""
 
     @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
     @pytest.mark.parametrize("algorithm, task, corruption", _REFUSED)
     def test_refused_before_noise(self, algorithm, task, corruption, cached, monkeypatch):
-        draws = []
+        streams = []
         substream = CellPlan.substream
-        monkeypatch.setattr(
-            CellPlan, "substream", lambda plan, fold: draws.append(fold) or substream(plan, fold)
-        )
+
+        def tracked(plan, fold):
+            gen = substream(plan, fold)
+            streams.append((gen, gen.bit_generator.state))
+            return gen
+
+        monkeypatch.setattr(CellPlan, "substream", tracked)
         preset = ScalePreset(name="tiny", max_records=None, folds=3, repetitions=2)
-        plan = plan_cells(
-            algorithm, _CorruptDataset(corruption), task, 4, [1.0],
-            preset=preset, prepared_cache=PreparedDataCache() if cached else None,
-        )
-        assert plan.kernel != KERNEL_GENERIC
-        with pytest.raises((DataError, DomainError)):
-            run_plan(plan, mode="batched")
-        assert draws == []
+        refused = {}
+        for mode in ("batched", "percell"):
+            plan = plan_cells(
+                algorithm, _CorruptDataset(corruption), task, 4, [1.0],
+                preset=preset, prepared_cache=PreparedDataCache() if cached else None,
+            )
+            assert plan.kernel != KERNEL_GENERIC
+            with pytest.raises((DataError, DomainError)) as error:
+                run_plan(plan, mode=mode)
+            refused[mode] = type(error.value)
+            if mode == "batched":
+                assert streams == []  # the plan gate runs before any stream exists
+        assert refused["batched"] is refused["percell"]
+        # The per-cell fit derives its stream first, but draws nothing from it.
+        assert all(gen.bit_generator.state == state for gen, state in streams)
 
 
 class TestFoldBuildTrustsGate:

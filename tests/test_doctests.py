@@ -16,7 +16,6 @@ import repro.core.polynomial
 import repro.core.taylor
 import repro.data.transforms
 import repro.engine.accumulator
-import repro.engine.cache
 import repro.engine.sweep
 import repro.federated.party
 import repro.privacy.budget
@@ -33,7 +32,6 @@ MODULES = [
     repro.core.taylor,
     repro.data.transforms,
     repro.engine.accumulator,
-    repro.engine.cache,
     repro.engine.sweep,
     repro.federated.party,
     repro.privacy.budget,

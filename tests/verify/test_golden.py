@@ -40,7 +40,8 @@ SMOKE_CONFIGS = [
 ]
 
 _FINGERPRINT_KEYS = (
-    "python", "numpy", "machine", "system", "blas", "blas_version", "blas_threads",
+    "python", "numpy", "machine", "system", "blas", "blas_version", "blas_core",
+    "blas_threads",
 )
 
 
