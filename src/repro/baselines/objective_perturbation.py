@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from ..core.objectives import scaled_cross_moment
+from ..core.objectives import objective_for, scaled_cross_moment
 from ..exceptions import DataError
 from ..privacy.rng import RngLike, ensure_rng
 from ..regression.logistic import (
@@ -91,6 +91,9 @@ class ObjectivePerturbation(BaselineRegressor):
         if X.ndim != 2 or X.shape[0] == 0:
             raise DataError(f"X must be a non-empty 2-d matrix, got shape {X.shape}")
         n, d = X.shape
+        # FM's input gate: the noise calibration assumes ||x|| <= 1 and the
+        # task's target domain.
+        objective_for(self.task, d).validate(X, y)
         L, c = self._constants()
         lam = self.lam
         epsilon_prime = self.epsilon - 2.0 * math.log(1.0 + c / (n * lam))

@@ -30,6 +30,7 @@ import math
 
 import numpy as np
 
+from ..core.objectives import objective_for
 from ..exceptions import DataError
 from ..privacy.rng import RngLike, ensure_rng
 from ..regression.linear import RidgeRegression
@@ -108,6 +109,9 @@ class OutputPerturbation(BaselineRegressor):
         if X.ndim != 2 or X.shape[0] == 0:
             raise DataError(f"X must be a non-empty 2-d matrix, got shape {X.shape}")
         n, d = X.shape
+        # FM's input gate: the noise calibration assumes ||x|| <= 1 and the
+        # task's target domain.
+        objective_for(self.task, d).validate(X, y)
         if self.task == "linear":
             # Averaged ridge objective: (1/n)||y - Xw||^2 + (lam/2)||w||^2
             # equals (up to scaling) RidgeRegression with penalty n*lam/2.

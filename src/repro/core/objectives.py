@@ -46,6 +46,7 @@ __all__ = [
     "LinearRegressionObjective",
     "LogisticRegressionObjective",
     "NORM_TOLERANCE",
+    "objective_for",
     "scaled_cross_moment",
 ]
 
@@ -163,6 +164,8 @@ class RegressionObjective(abc.ABC):
         y = np.asarray(y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
             raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
+        if not np.all(np.isfinite(y)):
+            raise DataError("y must be finite")
         norms = np.linalg.norm(X, axis=1)
         if norms.size and float(norms.max()) > 1.0 + NORM_TOLERANCE:
             raise DomainError(
@@ -424,3 +427,10 @@ class LogisticRegressionObjective(RegressionObjective):
                 f"logistic-regression target must be boolean {{0, 1}} "
                 f"(Definition 2); got values {unique[:5]!r}"
             )
+
+
+def objective_for(task: str, dim: int) -> RegressionObjective:
+    """The degree-2 objective of a task (``"linear"`` or ``"logistic"``)."""
+    if task == "linear":
+        return LinearRegressionObjective(dim)
+    return LogisticRegressionObjective(dim)

@@ -216,14 +216,13 @@ class EpsilonSweepEngine:
         with active_recorder().span("engine.fit_one", epsilon=epsilon) as span:
             d = self._form.dim
             scale = self._sensitivity / epsilon
-            beta_noise = scale * float(raw_row[0])
-            alpha_noise = scale * raw_row[1 : 1 + d]
-            draws = scale * raw_row[1 + d :].reshape(d, d)
-            upper = np.triu(draws, k=1) / 2.0
+            noisy_M, noisy_alpha = fm_noise_stack(
+                self._form.M, self._form.alpha, raw_row[None], np.array([scale])
+            )
             noisy = QuadraticForm(
-                M=self._form.M + np.diag(np.diag(draws)) + upper + upper.T,
-                alpha=self._form.alpha + alpha_noise,
-                beta=self._form.beta + beta_noise,
+                M=noisy_M[0],
+                alpha=noisy_alpha[0],
+                beta=self._form.beta + scale * float(raw_row[0]),
             )
             record = PerturbationRecord(
                 epsilon=epsilon,
@@ -275,13 +274,7 @@ class EpsilonSweepEngine:
         d = self._form.dim
         raw = gen.laplace(0.0, 1.0, size=(len(values), 1 + d + d * d))
         active_recorder().counter("engine.laplace_draws", len(values) * (1 + d + d * d))
-        if self._budget is not None:
-            for epsilon in values:
-                self._budget.spend(epsilon, note=f"EpsilonSweepEngine eps={epsilon:g}")
-        if type(self._strategy) is SpectralTrimming:
-            return self._sweep_batched(values, raw)
-        points = [self._fit_one(epsilon, raw[i], gen) for i, epsilon in enumerate(values)]
-        return EpsilonSweepResult(epsilons=tuple(values), points=tuple(points))
+        return self.sweep_from_draws(values, raw, rng=gen)
 
     def sweep_from_draws(
         self, epsilons: Sequence[float], raw: np.ndarray, rng: RngLike = None

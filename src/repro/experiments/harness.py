@@ -48,10 +48,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..baselines.base import Task
-from ..core.objectives import (
-    LinearRegressionObjective,
-    LogisticRegressionObjective,
-)
+from ..core.objectives import objective_for
 from ..data.datasets import CensusDataset
 from ..exceptions import ExperimentError
 from ..runtime import (
@@ -70,13 +67,6 @@ __all__ = [
     "EvaluationResult",
     "objective_for",
 ]
-
-
-def objective_for(task: Task, dim: int):
-    """The degree-2 objective matching a harness task."""
-    if task == "linear":
-        return LinearRegressionObjective(dim)
-    return LogisticRegressionObjective(dim)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ import numpy as np
 
 from ..core.polynomial import QuadraticForm
 from ..privacy.rng import derive_substream
+from ..runtime.kernels import fm_noise_stack
 
 __all__ = [
     "FED_NOISE_TAG",
@@ -159,19 +160,10 @@ def perturb_form_stack(
     :meth:`~repro.core.mechanism.FunctionalMechanism.perturb_quadratic`
     consumes its stream — scalar, then ``d`` linear draws, then a
     ``d x d`` matrix whose strict upper triangle splits as ``w/2`` onto
-    the symmetric pair.  Returns stacked ``(M, alpha, beta)`` arrays.
+    the symmetric pair (:func:`~repro.runtime.kernels.fm_noise_stack`).
+    Returns stacked ``(M, alpha, beta)`` arrays.
     """
-    d = form.dim
-    values = [float(e) for e in epsilons]
-    raw = gen.laplace(0.0, 1.0, size=_sample_shape(len(values), d))
-    M_stack = np.empty((len(values), d, d))
-    alpha_stack = np.empty((len(values), d))
-    beta_stack = np.empty(len(values))
-    for i, epsilon in enumerate(values):
-        scale = float(sensitivity) / epsilon
-        beta_stack[i] = form.beta + scale * float(raw[i, 0])
-        alpha_stack[i] = form.alpha + scale * raw[i, 1 : 1 + d]
-        draws = scale * raw[i, 1 + d :].reshape(d, d)
-        upper = np.triu(draws, k=1) / 2.0
-        M_stack[i] = form.M + np.diag(np.diag(draws)) + upper + upper.T
-    return M_stack, alpha_stack, beta_stack
+    scales = float(sensitivity) / np.asarray(epsilons, dtype=float)
+    raw = gen.laplace(0.0, 1.0, size=_sample_shape(len(scales), form.dim))
+    M_stack, alpha_stack = fm_noise_stack(form.M, form.alpha, raw, scales)
+    return M_stack, alpha_stack, form.beta + scales * raw[:, 0]

@@ -47,7 +47,7 @@ from .app import _SERVE_STREAM_TAG
 from .loadgen import synthetic_batch
 from .protocol import fit_digest
 
-__all__ = ["verify_report"]
+__all__ = ["offline_fit_digest", "verify_report"]
 
 
 def _tenant_index(name: str) -> int:
@@ -56,7 +56,6 @@ def _tenant_index(name: str) -> int:
 
 def _expected_digest(config: dict, tenant_index: int, fit: dict) -> str:
     """Recompute one fit exactly as the service did, without the service."""
-    task = config["task"]
     dims = int(config["dims"])
     accumulator = MomentAccumulator(dim=dims)
     for batch in range(int(config["batches"])):
@@ -65,10 +64,16 @@ def _expected_digest(config: dict, tenant_index: int, fit: dict) -> str:
             int(config["rows_per_batch"]), dims,
         )
         accumulator.update(X, y)
-    objective = objective_for(task, dims)
+    return offline_fit_digest(config["task"], accumulator, fit["epsilons"], fit["seed"])
+
+
+def offline_fit_digest(task: str, accumulator: MomentAccumulator, epsilons, seed) -> str:
+    """The ``fit_digest`` a served fit of ``accumulator``'s rows releases,
+    computed serially offline: no service, no executor."""
+    objective = objective_for(task, accumulator.dim)
     form = accumulator.snapshot().quadratic_form(objective)
-    epsilons = tuple(float(e) for e in fit["epsilons"])
-    seed = int(fit["seed"])
+    epsilons = tuple(float(e) for e in epsilons)
+    seed = int(seed)
     omegas = np.asarray(
         [
             EpsilonSweepEngine(objective, form).sweep(
@@ -79,7 +84,7 @@ def _expected_digest(config: dict, tenant_index: int, fit: dict) -> str:
         ],
         dtype=float,
     )
-    return fit_digest(task, dims, epsilons, seed, accumulator.n_rows, omegas)
+    return fit_digest(task, accumulator.dim, epsilons, seed, accumulator.n_rows, omegas)
 
 
 def verify_report(

@@ -16,8 +16,7 @@ This module replaces the blob with a single dataclass:
   class defaults;
 * **serializable** — :meth:`to_dict` / :meth:`from_dict` /
   :meth:`to_json` / :meth:`from_json` round-trip exactly, so the golden
-  store and ``BENCH_harness.json`` can record the policy that produced a
-  number;
+  store can record the policy that produced a digest;
 * **derivable** — :meth:`derive` is ``dataclasses.replace`` with
   validation, the one idiom for "this policy, but tiled".
 

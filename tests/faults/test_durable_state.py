@@ -61,30 +61,30 @@ class TestBudgetJournal:
         with PrivacyBudget(1.0, journal_path=journal) as budget:
             budget.spend(0.25, note="first")
             budget.spend(0.25, note="second")
-        restored = PrivacyBudget.restore(journal)
-        assert restored.spent == pytest.approx(0.5)
-        assert [e.note for e in restored.ledger] == ["first", "second"]
+        with PrivacyBudget.restore(journal) as restored:
+            assert restored.spent == pytest.approx(0.5)
+            assert [e.note for e in restored.ledger] == ["first", "second"]
 
     def test_uncommitted_intent_is_conservatively_spent(self, tmp_path):
         journal = tmp_path / "budget.journal"
-        budget = PrivacyBudget(1.0, journal_path=journal)
-        budget.spend(0.2, note="ok")
         from repro.exceptions import InjectedFaultError
 
-        with _chaos("seed=1;budget.crash=1.0"):
-            with pytest.raises(InjectedFaultError):
-                budget.spend(0.3, note="interrupted")
-        restored = PrivacyBudget.restore(journal)
-        # never under-recorded: the interrupted spend counts as spent
-        assert restored.spent >= 0.5 - 1e-12
-        assert any("recovered" in e.note for e in restored.ledger)
+        with PrivacyBudget(1.0, journal_path=journal) as budget:
+            budget.spend(0.2, note="ok")
+            with _chaos("seed=1;budget.crash=1.0"):
+                with pytest.raises(InjectedFaultError):
+                    budget.spend(0.3, note="interrupted")
+        with PrivacyBudget.restore(journal) as restored:
+            # never under-recorded: the interrupted spend counts as spent
+            assert restored.spent >= 0.5 - 1e-12
+            assert any("recovered" in e.note for e in restored.ledger)
         # a second replay reaches the identical ledger (recovery commits
         # were journaled, making the repair idempotent)
-        again = PrivacyBudget.restore(journal)
-        assert again.spent == restored.spent
-        assert [e.note for e in again.ledger] == [
-            e.note for e in restored.ledger
-        ]
+        with PrivacyBudget.restore(journal) as again:
+            assert again.spent == restored.spent
+            assert [e.note for e in again.ledger] == [
+                e.note for e in restored.ledger
+            ]
 
     def test_torn_final_line_is_ignored(self, tmp_path):
         journal = tmp_path / "budget.journal"
@@ -92,7 +92,8 @@ class TestBudgetJournal:
             budget.spend(0.5)
         with open(journal, "a", encoding="utf-8") as handle:
             handle.write('{"op": "intent", "id"')  # crash mid-write
-        assert PrivacyBudget.restore(journal).spent == pytest.approx(0.5)
+        with PrivacyBudget.restore(journal) as restored:
+            assert restored.spent == pytest.approx(0.5)
 
     def test_torn_interior_line_is_fatal(self, tmp_path):
         journal = tmp_path / "budget.journal"
@@ -132,9 +133,9 @@ budget.spend(0.5, note="victim")  # dies between intent and commit
             cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
         )
         assert result.returncode == 9
-        restored = PrivacyBudget.restore(journal)
-        assert restored.spent >= 0.75 - 1e-12  # intended total
-        notes = [e.note for e in restored.ledger]
+        with PrivacyBudget.restore(journal) as restored:
+            assert restored.spent >= 0.75 - 1e-12  # intended total
+            notes = [e.note for e in restored.ledger]
         assert notes[0] == "survivor" and "victim" in notes[1]
 
     def test_journal_telemetry_counters(self, tmp_path):

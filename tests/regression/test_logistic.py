@@ -186,8 +186,12 @@ def _noisy_labels(seed, flip, n=3000, d=5):
 
 
 #: (seed, flip) of two label sets: one converges on full Newton steps, the
-#: other makes the line search reject candidates on the way.
-_DATASETS = {"full-steps": (2, 0.05), "backtracking": (4, 0.01)}
+#: other makes the line search reject candidates on the way.  Those
+#: rejections happen near the optimum, where the loss differences are at
+#: rounding level, so their count depends on the BLAS kernel: this set
+#: backtracks under the SkylakeX, Haswell and Sandybridge kernels alike
+#: (14, 15 and 13 iterations for 35, 40 and 29 loss evaluations).
+_DATASETS = {"full-steps": (2, 0.05), "backtracking": (296, 0.03)}
 
 
 class TestSharedTermsOracle:

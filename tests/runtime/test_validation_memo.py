@@ -10,6 +10,7 @@ answer for each other.
 import numpy as np
 import pytest
 
+from repro.baselines import algorithm_is_private, algorithm_names, canonical_algorithm_name
 from repro.core import objectives
 from repro.core.objectives import LinearRegressionObjective, LogisticRegressionObjective
 from repro.data.datasets import RegressionTask
@@ -129,7 +130,8 @@ class TestReadOnlyTaskArrays:
 
 
 class _CorruptDataset:
-    """A table whose prepared features carry one bad row: NaN, inf or norm 2."""
+    """A table with one bad value in row 7: a NaN, inf or norm-2 row, or a
+    NaN or out-of-range target (an off-{0, 1} label for logistic)."""
 
     n = 60
 
@@ -139,33 +141,44 @@ class _CorruptDataset:
     def regression_task(self, task, dims):
         gen = np.random.default_rng(0)
         X = gen.uniform(-0.4, 0.4, size=(self.n, 4))
-        X[7] = {"nan": [np.nan, 0, 0, 0], "inf": [np.inf, 0, 0, 0], "norm": 1.0}[
-            self.corruption
-        ]
         if task == "linear":
             y = gen.uniform(-1.0, 1.0, size=self.n)
         else:
             y = (gen.uniform(size=self.n) < 0.5).astype(float)
+        rows = {"nan": [np.nan, 0, 0, 0], "inf": [np.inf, 0, 0, 0], "norm": 1.0}
+        if self.corruption in rows:
+            X[7] = rows[self.corruption]
+        else:
+            y[7] = {"nan-target": np.nan, "range": 1.5 if task == "linear" else 0.5}[
+                self.corruption
+            ]
         return RegressionTask(
             X=X, y=y, task=task, country="us", feature_names=("a", "b", "c", "d")
         )
 
 
-#: NoPrivacy is not private, so it (like its per-cell fit) accepts rows with
-#: norm > 1 and refuses only non-finite data.
+#: Every private algorithm refuses what FM's domain gate refuses: its noise
+#: is calibrated for ``||x|| <= 1`` and the task's target domain.  Truncated
+#: shares FM's gate; NoPrivacy is not private, so it (like its per-cell fit)
+#: accepts out-of-domain values and refuses only non-finite data.
+_PRIVATE = [
+    canonical_algorithm_name(name) for name in algorithm_names() if algorithm_is_private(name)
+]
+_NON_FINITE = ("nan", "inf", "nan-target")
 _REFUSED = [
     (algorithm, task, corruption)
-    for algorithm, task in [
-        ("FM", "linear"), ("FM", "logistic"), ("Truncated", "linear"),
-        ("Truncated", "logistic"), ("NoPrivacy", "linear"), ("NoPrivacy", "logistic"),
-    ]
-    for corruption in ("nan", "inf", "norm")
-    if not (algorithm == "NoPrivacy" and corruption == "norm")
+    for algorithm in [*_PRIVATE, "Truncated", "NoPrivacy"]
+    for task in ("linear", "logistic")
+    for corruption in ("nan", "inf", "norm", "nan-target", "range")
+    if algorithm != "NoPrivacy" or corruption in _NON_FINITE
 ]
+#: The algorithms the batched runtime runs in its own kernels, behind the
+#: plan-level gate; the rest fit fold by fold on both runtimes.
+_KERNEL_ALGORITHMS = ("FM", "Truncated", "NoPrivacy")
 
 
 class TestPlanGateRefusesBadData:
-    """The batched path refuses what the per-cell fit refuses, with the same
+    """Both runtimes refuse what the per-cell fit refuses, with the same
     exception class and before any noise is drawn, whether or not a
     prepared-data cache memoizes the gate."""
 
@@ -188,14 +201,15 @@ class TestPlanGateRefusesBadData:
                 algorithm, _CorruptDataset(corruption), task, 4, [1.0],
                 preset=preset, prepared_cache=PreparedDataCache() if cached else None,
             )
-            assert plan.kernel != KERNEL_GENERIC
+            if algorithm in _KERNEL_ALGORITHMS:
+                assert plan.kernel != KERNEL_GENERIC
             with pytest.raises((DataError, DomainError)) as error:
                 run_plan(plan, mode=mode)
             refused[mode] = type(error.value)
-            if mode == "batched":
+            if mode == "batched" and algorithm in _KERNEL_ALGORITHMS:
                 assert streams == []  # the plan gate runs before any stream exists
         assert refused["batched"] is refused["percell"]
-        # The per-cell fit derives its stream first, but draws nothing from it.
+        # A per-fold fit derives its stream first, but draws nothing from it.
         assert all(gen.bit_generator.state == state for gen, state in streams)
 
 
